@@ -57,6 +57,7 @@ func TestCodeForStatus(t *testing.T) {
 	for status, want := range map[int]string{
 		400: CodeBadRequest,
 		404: CodeNotFound,
+		413: CodeTooLarge,
 		429: CodeOverCapacity,
 		500: CodeInternal,
 		501: CodeNotImplemented,

@@ -37,6 +37,8 @@ const (
 	// CodeNotFound covers unknown models and unknown model operations
 	// (404).
 	CodeNotFound = "not_found"
+	// CodeTooLarge rejects a request body over MaxRequestBody (413).
+	CodeTooLarge = "too_large"
 	// CodeOverCapacity is backpressure: the request queue (replica) or
 	// every routing candidate (gateway) is saturated (429/503).
 	CodeOverCapacity = "over_capacity"
@@ -56,6 +58,10 @@ const (
 	CodeInternal = "internal"
 )
 
+// MaxRequestBody caps the gateway's predict bodies and every body a
+// replica reads (8 MiB is ~1000 CIFAR-sized samples as JSON).
+const MaxRequestBody = 8 << 20
+
 // CodeForStatus maps an HTTP status to the default code for call sites
 // that have nothing more specific to say.
 func CodeForStatus(status int) string {
@@ -64,6 +70,8 @@ func CodeForStatus(status int) string {
 		return CodeBadRequest
 	case http.StatusNotFound:
 		return CodeNotFound
+	case http.StatusRequestEntityTooLarge:
+		return CodeTooLarge
 	case http.StatusTooManyRequests:
 		return CodeOverCapacity
 	case http.StatusServiceUnavailable:

@@ -1,6 +1,7 @@
 package extract
 
 import (
+	"context"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/modelio"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -48,6 +50,30 @@ func startVictim(t *testing.T) (*serve.Registry, *Client) {
 	})
 	srv.SetReady()
 	return reg, NewClient(ts.URL, "victim", "attacker-e2e")
+}
+
+// TestClientShapeThroughGateway pins dacsteal's reconnaissance against a
+// fleet: the gateway's /v1/models rows must carry the replicas' input
+// shape and class count, so the client reads a C,H,W shape off the
+// gateway exactly as off a replica.
+func TestClientShapeThroughGateway(t *testing.T) {
+	_, direct := startVictim(t)
+	g := gateway.New(gateway.Options{ProbeInterval: -1, Obs: obs.NewRegistry()})
+	t.Cleanup(g.Close)
+	if _, err := g.AddReplica("r0", direct.BaseURL); err != nil {
+		t.Fatal(err)
+	}
+	g.ProbeAll(context.Background())
+	gw := httptest.NewServer(gateway.NewServer(g).Handler())
+	t.Cleanup(gw.Close)
+
+	shape, err := NewClient(gw.URL, "victim", "attacker-fleet").Shape()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shape.InputShape, []int{1, 8, 8}) || shape.Classes != 4 || shape.Digest == "" {
+		t.Fatalf("recon through gateway: %+v, want a 1x8x8 4-class digest-bearing row", shape)
+	}
 }
 
 // TestClientAgainstLiveServer drives the HTTP client end to end: shape

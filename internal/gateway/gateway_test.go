@@ -256,6 +256,11 @@ func TestGatewayModelsAggregation(t *testing.T) {
 	if len(models) != 1 || !models[0].Consistent || models[0].Digest != dA || !models[0].MatchesAssignment {
 		t.Fatalf("consistent fleet reported %+v", models)
 	}
+	// The replicas' geometry rides along, so a client can size inputs off
+	// the gateway alone.
+	if len(models[0].InputShape) != 3 || models[0].Classes == 0 {
+		t.Fatalf("fleet row lost the model geometry: shape %v, classes %d", models[0].InputShape, models[0].Classes)
+	}
 	if string(body["consistent"]) != "true" {
 		t.Fatal("fleet-level consistent flag false on a consistent fleet")
 	}

@@ -12,9 +12,9 @@ import (
 	"repro/internal/obs"
 )
 
-// maxPredictBody bounds a proxied predict request body (8 MiB is ~1000
-// CIFAR-sized batch samples — far past any sane request).
-const maxPredictBody = 8 << 20
+// maxPredictBody bounds a proxied predict request body; replicas apply the
+// same cap to every body they read.
+const maxPredictBody = api.MaxRequestBody
 
 // attemptResult is one proxied attempt's outcome.
 type attemptResult struct {

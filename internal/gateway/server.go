@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 
@@ -18,7 +19,7 @@ import (
 //
 //	POST /v1/predict       routed prediction (same body as dacserve)
 //	GET  /v1/models        fleet-aggregated model list with digest
-//	                       consistency verdicts
+//	                       consistency verdicts and input shape
 //	GET  /v1/assignments   advertised {model name → release digest}
 //	POST /v1/models/{name}:reload  rolling reload: {"digest": ...}
 //	POST /v1/models/{name}:policy  get/set the model's serving policy,
@@ -165,6 +166,12 @@ type fleetModel struct {
 	MatchesAssignment bool `json:"matches_assignment"`
 	// PerReplica maps replica ID → served digest.
 	PerReplica map[string]string `json:"per_replica"`
+	// InputShape and Classes are the served model's geometry, as the
+	// replicas report it; omitted when replicas disagree.
+	InputShape []int `json:"input_shape,omitempty"`
+	Classes    int   `json:"classes,omitempty"`
+
+	shapeConflict bool
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -172,8 +179,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	type answer struct {
 		rep    *Replica
 		models []struct {
-			Name   string `json:"name"`
-			Digest string `json:"digest"`
+			Name       string `json:"name"`
+			Digest     string `json:"digest"`
+			InputShape []int  `json:"input_shape"`
+			Classes    int    `json:"classes"`
 		}
 		err error
 	}
@@ -207,8 +216,10 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		for _, m := range a.models {
 			fm := byName[m.Name]
 			if fm == nil {
-				fm = &fleetModel{Name: m.Name, PerReplica: map[string]string{}}
+				fm = &fleetModel{Name: m.Name, PerReplica: map[string]string{}, InputShape: m.InputShape, Classes: m.Classes}
 				byName[m.Name] = fm
+			} else if !slices.Equal(fm.InputShape, m.InputShape) || fm.Classes != m.Classes {
+				fm.shapeConflict = true
 			}
 			fm.PerReplica[a.rep.ID] = m.Digest
 		}
@@ -227,6 +238,9 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		if !fm.Consistent {
 			fm.Digest = ""
 			allConsistent = false
+		}
+		if fm.shapeConflict {
+			fm.InputShape, fm.Classes = nil, 0
 		}
 		fm.Assigned = assignments[fm.Name]
 		fm.MatchesAssignment = fm.Consistent && (fm.Assigned == "" || fm.Assigned == fm.Digest)

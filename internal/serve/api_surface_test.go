@@ -135,3 +135,53 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 		t.Fatalf("trace_id %q does not match %s header %q", e.TraceID, obs.HeaderTrace, resp.Header.Get(obs.HeaderTrace))
 	}
 }
+
+// postOversize sends a body one byte over api.MaxRequestBody to path and
+// checks the replica's answer: 413, the too_large code, and a trace_id
+// equal to the X-Dac-Trace response header.
+func postOversize(t *testing.T, url string) {
+	t.Helper()
+	body := strings.NewReader(strings.Repeat(" ", api.MaxRequestBody+1))
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%s)", resp.StatusCode, raw)
+	}
+	e, err := api.ParseError(raw)
+	if err != nil {
+		t.Fatalf("not an envelope: %v (%s)", err, raw)
+	}
+	if e.Code != api.CodeTooLarge {
+		t.Fatalf("code = %q, want %q", e.Code, api.CodeTooLarge)
+	}
+	if e.TraceID == "" || e.TraceID != resp.Header.Get(obs.HeaderTrace) {
+		t.Fatalf("trace_id %q does not match %s header %q", e.TraceID, obs.HeaderTrace, resp.Header.Get(obs.HeaderTrace))
+	}
+}
+
+func TestOversizePredictBody413(t *testing.T) {
+	_, ts := httpServer(t, manualOpts(4, 16))
+	postOversize(t, ts.URL+"/v1/predict")
+}
+
+func TestOversizeAuditBody413(t *testing.T) {
+	r, ts := httpServer(t, manualOpts(4, 16))
+	if _, err := r.LoadFile("demo", writeReleased(t, 67, false)); err != nil {
+		t.Fatal(err)
+	}
+	postOversize(t, ts.URL+"/v1/models/demo:audit")
+}
+
+func TestOversizeLoadBody413(t *testing.T) {
+	_, ts := httpServer(t, manualOpts(4, 16))
+	postOversize(t, ts.URL+"/v1/models/demo:load")
+}
+
+func TestOversizePolicyBody413(t *testing.T) {
+	_, ts := httpServer(t, manualOpts(4, 16))
+	postOversize(t, ts.URL+"/v1/models/demo:policy")
+}

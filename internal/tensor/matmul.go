@@ -5,7 +5,9 @@ import "fmt"
 // Matrix-multiply kernels come in two families: the *naive reference
 // kernels in this file, which define the repo's floating-point accumulation
 // order, and the cache-blocked / register-tiled kernels in matmul_blocked.go
-// that the public entry points actually dispatch to.
+// that the public entry points actually dispatch to (on amd64 with AVX2,
+// through their assembly twins in matmul_avx2_amd64.s, which vectorize
+// across output columns and so keep every element's chain intact).
 //
 // # The accumulation-order rule
 //

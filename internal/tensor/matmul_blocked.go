@@ -17,6 +17,10 @@ package tensor
 //
 // A quad that contains a zero a-term falls back to the reference per-term
 // loop for that quad, preserving the skip set exactly.
+//
+// On amd64 with AVX2 each kernel first hands off to its assembly twin in
+// matmul_avx2_amd64.s (useAVX2); the Go code below is the fallback for
+// other targets, older CPUs and the purego build tag.
 
 // axpyRow computes dst[j] += av*b[j] for one row — the reference inner loop
 // shared by the naive kernels, the blocked tails, and the zero-skip
@@ -30,6 +34,10 @@ func axpyRow(dst, b []float64, av float64) {
 
 // matmulBlocked computes dst = a·b for a (m×k), b (k×n).
 func matmulBlocked(dst, a, b []float64, m, k, n int) {
+	if useAVX2 {
+		matmulAVX2(dst, a, b, m, k, n)
+		return
+	}
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -81,6 +89,10 @@ func matmulRowBlocked(drow, arow, b []float64, k, n int) {
 // matmulTBlocked computes dst = a·bᵀ for a (m×k), b (n×k): four dot
 // products share each pass over a row of a.
 func matmulTBlocked(dst, a, b []float64, m, k, n int) {
+	if useAVX2 {
+		matmulTAVX2(dst, a, b, m, k, n)
+		return
+	}
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
@@ -121,6 +133,10 @@ func matmulTBlocked(dst, a, b []float64, m, k, n int) {
 // tmatmulBlocked computes dst = aᵀ·b for a (k×m), b (k×n): quads of k rows
 // are fused so each dst row is loaded once per four terms.
 func tmatmulBlocked(dst, a, b []float64, k, m, n int) {
+	if useAVX2 {
+		tmatmulAVX2(dst, a, b, k, m, n)
+		return
+	}
 	for i := range dst {
 		dst[i] = 0
 	}
