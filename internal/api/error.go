@@ -2,8 +2,11 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+
+	"repro/internal/obs"
 )
 
 // Error is the unified envelope every 4xx/5xx answer carries, on the
@@ -102,6 +105,30 @@ func WriteError(w http.ResponseWriter, status int, code, traceID, format string,
 		code = CodeForStatus(status)
 	}
 	WriteJSON(w, status, Error{Message: fmt.Sprintf(format, args...), Code: code, TraceID: traceID})
+}
+
+// TooLarge reports whether err is a body read cut off by
+// http.MaxBytesReader.
+func TooLarge(err error) bool {
+	var mbe *http.MaxBytesError
+	return errors.As(err, &mbe)
+}
+
+// WriteBodyError answers a request whose body failed to read or decode:
+// 400, or 413 when the body went over limit bytes. The 413 carries a trace
+// ID (the caller's X-Dac-Trace, else a fresh one) in the envelope and the
+// header, so an oversize request can be quoted even on untraced routes.
+func WriteBodyError(w http.ResponseWriter, r *http.Request, err error, limit int64) {
+	if !TooLarge(err) {
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "", "bad request body: %v", err)
+		return
+	}
+	id, _, _ := obs.ParseTraceHeader(r.Header.Get(obs.HeaderTrace))
+	if id.IsZero() {
+		id = obs.NewTraceID()
+	}
+	w.Header().Set(obs.HeaderTrace, id.String())
+	WriteError(w, http.StatusRequestEntityTooLarge, CodeTooLarge, id.String(), "request body over %d bytes", limit)
 }
 
 // ParseError decodes an error envelope from a response body. It fails

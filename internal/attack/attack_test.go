@@ -13,6 +13,12 @@ import (
 
 // --- correlation regularizer ---
 
+// corrAndGrad is corrGrad returning a fresh gradient vector.
+func corrAndGrad(theta, s []float64) (float64, []float64) {
+	grad := make([]float64, len(theta))
+	return corrGrad(theta, s, grad), grad
+}
+
 func TestCorrAndGradMatchesPearson(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	theta := make([]float64, 50)

@@ -46,6 +46,9 @@ type CorrelationReg struct {
 	Targets []GroupTarget
 
 	lastCorr []float64
+	// theta and grad are Apply's scratch, kept across calls: one training
+	// step would otherwise allocate two vectors the size of every group.
+	theta, grad []float64
 }
 
 // NewUniformReg builds the Eq 1 attack: one target spanning every weight
@@ -97,8 +100,12 @@ func (r *CorrelationReg) Apply(m *nn.Model) float64 {
 		if t.Lambda == 0 || len(t.Secret) == 0 || t.Group.NumEl == 0 {
 			continue
 		}
-		theta := t.Group.FlattenValues()
-		corr, grad := corrAndGrad(theta, t.Secret)
+		r.theta = t.Group.AppendValues(r.theta[:0])
+		if cap(r.grad) < len(r.theta) {
+			r.grad = make([]float64, len(r.theta))
+		}
+		grad := r.grad[:len(r.theta)]
+		corr := corrGrad(r.theta, t.Secret, grad)
 		r.lastCorr[ti] = corr
 		scale := -t.Lambda * t.PK * sign(corr)
 		for i := range grad {
@@ -118,9 +125,10 @@ func (r *CorrelationReg) Correlations() []float64 {
 	return out
 }
 
-// corrAndGrad computes the Pearson correlation r between the first
-// L = min(len(theta), len(s)) elements of theta and s, plus d r / d theta
-// as a full-length vector (zero beyond L).
+// corrGrad computes the Pearson correlation r between the first
+// L = min(len(theta), len(s)) elements of theta and s, and writes d r /
+// d theta into grad as a full-length vector (zero beyond L; len(grad) ==
+// len(theta), previous contents ignored).
 //
 // With x = θ−θ̄ and y = s−s̄ (means over the first L elements),
 // a = Σxy, b = ‖x‖, c = ‖y‖:
@@ -129,14 +137,14 @@ func (r *CorrelationReg) Correlations() []float64 {
 //	∂r/∂θ_j  = (y_j − (a/b²)·x_j) / (b·c)
 //
 // (the θ̄ chain terms vanish because Σy = 0).
-func corrAndGrad(theta, s []float64) (float64, []float64) {
+func corrGrad(theta, s, grad []float64) float64 {
 	l := len(theta)
 	if len(s) < l {
 		l = len(s)
 	}
-	grad := make([]float64, len(theta))
+	clear(grad)
 	if l < 2 {
-		return 0, grad
+		return 0
 	}
 	var mt, ms float64
 	for i := 0; i < l; i++ {
@@ -154,7 +162,7 @@ func corrAndGrad(theta, s []float64) (float64, []float64) {
 		cc += y * y
 	}
 	if bb == 0 || cc == 0 {
-		return 0, grad
+		return 0
 	}
 	b := math.Sqrt(bb)
 	c := math.Sqrt(cc)
@@ -166,7 +174,7 @@ func corrAndGrad(theta, s []float64) (float64, []float64) {
 		y := s[i] - ms
 		grad[i] = (y - k*x) * inv
 	}
-	return r, grad
+	return r
 }
 
 func sign(v float64) float64 {

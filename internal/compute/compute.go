@@ -20,7 +20,9 @@
 //     including Threads=1, which runs the same algorithm inline.
 //
 // A Ctx may be driven by one goroutine at a time (layer state imposes the
-// same constraint already); the workers it owns are internal.
+// same constraint already); the workers it owns are internal. The step
+// buffers a Ctx hands out (Buffer/Recycle) hold data, never arithmetic, so
+// which buffer a layer is given cannot change any result.
 package compute
 
 import (
@@ -33,9 +35,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Ctx is an execution context: a fixed-size worker pool plus one scratch
-// Arena per worker. The zero number of threads is not valid; construct with
-// New or Get.
+// Ctx is an execution context: a fixed-size worker pool, one scratch Arena
+// per worker, and a free list of step buffers (Buffer/Recycle). The zero
+// number of threads is not valid; construct with New or Get.
 type Ctx struct {
 	threads int
 	arenas  []*Arena
@@ -46,6 +48,8 @@ type Ctx struct {
 	// turns an accidental second driver (a silent data race over arenas and
 	// layer state) into an immediate panic at the entry point.
 	driving int32
+
+	pool bufPool // step buffers; see buffers.go
 
 	m *ctxMetrics
 }
@@ -171,6 +175,9 @@ func (c *Ctx) Close() {
 		close(c.tasks)
 		c.tasks = nil
 	}
+	c.pool.mu.Lock()
+	c.pool.free = nil
+	c.pool.mu.Unlock()
 }
 
 // acquire marks the context as driven by the calling goroutine; a second

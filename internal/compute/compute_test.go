@@ -216,3 +216,44 @@ func TestCtxSequentialDrivesAllowed(t *testing.T) {
 	<-done
 	c.ForChunks(8, func(lo, hi int) {})
 }
+
+func TestBufferReusesRecycledStorage(t *testing.T) {
+	c := New(1)
+	defer c.Close()
+	a := c.Buffer(100)
+	if len(a) != 100 {
+		t.Fatalf("Buffer(100) has length %d", len(a))
+	}
+	c.Recycle(a)
+	// A request within [cap/2, cap] reuses the buffer at full capacity.
+	b := c.Buffer(60)
+	if len(b) != 60 || &b[0] != &a[0] {
+		t.Fatal("Buffer(60) did not reuse the recycled 100-element buffer")
+	}
+	c.Recycle(b)
+	// A request under half the capacity does not pin the large buffer.
+	if s := c.Buffer(10); &s[0] == &a[0] {
+		t.Fatal("Buffer(10) took a 100-element buffer")
+	}
+	// Best fit: the smallest adequate buffer wins.
+	small := c.Buffer(70)
+	c.Recycle(small)
+	if got := c.Buffer(55); &got[0] != &small[0] {
+		t.Fatal("Buffer(55) did not pick the best-fitting buffer")
+	}
+}
+
+func TestRecycleBoundsTheFreeList(t *testing.T) {
+	c := New(1)
+	for i := 0; i < 3*maxFreeBuffers; i++ {
+		c.Recycle(make([]float64, 8))
+	}
+	if n := len(c.pool.free); n != maxFreeBuffers {
+		t.Fatalf("free list holds %d buffers, bound is %d", n, maxFreeBuffers)
+	}
+	c.Recycle(nil) // empty slices are ignored
+	c.Close()
+	if n := len(c.pool.free); n != 0 {
+		t.Fatalf("Close left %d free buffers", n)
+	}
+}

@@ -141,6 +141,7 @@ func Distill(h *Harvest, cfg Config) *nn.Model {
 	cfg = cfg.withDefaults()
 	m := nn.NewResNet(cfg.Surrogate)
 	m.SetThreads(cfg.Threads)
+	defer m.ReleaseBuffers()
 	n := len(h.Inputs)
 	sample := len(h.Inputs[0])
 	classes := cfg.Surrogate.Classes

@@ -100,3 +100,40 @@ func TestErrorEnvelopeCarriesTraceID(t *testing.T) {
 		t.Fatalf("trace_id %q does not match %s header %q", e.TraceID, obs.HeaderTrace, resp.Header.Get(obs.HeaderTrace))
 	}
 }
+
+// postOversize sends a body one byte over limit to path and checks the
+// gateway's answer: 413, the too_large code, and a trace_id equal to the
+// X-Dac-Trace response header — the replicas' answer to the same body.
+func postOversize(t *testing.T, url string, limit int) {
+	t.Helper()
+	body := strings.NewReader(strings.Repeat(" ", limit+1))
+	resp, err := http.Post(url, "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413 (%s)", resp.StatusCode, raw)
+	}
+	e, err := api.ParseError(raw)
+	if err != nil {
+		t.Fatalf("not an envelope: %v (%s)", err, raw)
+	}
+	if e.Code != api.CodeTooLarge {
+		t.Fatalf("code = %q, want %q", e.Code, api.CodeTooLarge)
+	}
+	if e.TraceID == "" || e.TraceID != resp.Header.Get(obs.HeaderTrace) {
+		t.Fatalf("trace_id %q does not match %s header %q", e.TraceID, obs.HeaderTrace, resp.Header.Get(obs.HeaderTrace))
+	}
+}
+
+func TestOversizePredictBody413(t *testing.T) {
+	ts := gatewayServer(t, testGateway(t, Options{}))
+	postOversize(t, ts.URL+"/v1/predict", maxPredictBody)
+}
+
+func TestOversizePolicyBody413(t *testing.T) {
+	ts := gatewayServer(t, testGateway(t, Options{}))
+	postOversize(t, ts.URL+"/v1/models/prod:policy", maxPolicyBody)
+}

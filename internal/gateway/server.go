@@ -100,6 +100,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPredictBody))
 	if err != nil {
 		sp.End()
+		if api.TooLarge(err) {
+			fail(http.StatusRequestEntityTooLarge, api.CodeTooLarge, "request body over %d bytes", maxPredictBody)
+			return
+		}
 		fail(http.StatusBadRequest, api.CodeBadRequest, "read request body: %v", err)
 		return
 	}
@@ -308,14 +312,17 @@ func (s *Server) opReload(w http.ResponseWriter, r *http.Request, name string) {
 	s.rollingReload(w, r, req)
 }
 
+// maxPolicyBody bounds a :policy body; a policy is a few fields of JSON.
+const maxPolicyBody = 1 << 20
+
 // opPolicy fans a serving-policy get (empty body) or set (Policy JSON
 // body) out to every eligible replica, so one gateway call flips a defense
 // fleet-wide. On a successful set the gateway also learns the model's
 // query budget and enforces it at the edge from then on.
 func (s *Server) opPolicy(w http.ResponseWriter, r *http.Request, name string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxPolicyBody))
 	if err != nil {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "read request body: %v", err)
+		api.WriteBodyError(w, r, err, maxPolicyBody)
 		return
 	}
 	set := len(body) > 0

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/compute"
 	"repro/internal/tensor"
 )
@@ -8,9 +10,14 @@ import (
 // ReLU applies max(0, x) elementwise. The flat range is chunked across the
 // execution context's workers; elementwise maps are bit-identical for any
 // chunking.
+//
+// Both passes are one branch-free sweep: the output is the input's bits
+// ANDed with an all-ones or all-zero mask, so NaN, −0 and negatives all
+// become +0, exactly as a compare-and-zero loop leaves them.
 type ReLU struct {
 	name string
-	mask []bool
+	mask []bool    // x > 0 per element of the last training batch
+	out  []float64 // training output; Backward writes dx over it
 }
 
 // NewReLU creates a ReLU activation layer.
@@ -21,50 +28,49 @@ func (r *ReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	xd := x.Data()
+	var od []float64
+	var mask []bool
 	if train {
-		if cap(r.mask) < len(d) {
-			r.mask = make([]bool, len(d))
-		}
-		r.mask = r.mask[:len(d)]
+		r.out = stepBuf(r.out, len(xd))
+		r.mask = stepBuf(r.mask, len(xd))
+		od, mask = r.out, r.mask
+	} else {
+		od = ctx.Buffer(len(xd))
 	}
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := d[i] > 0
-			if !pos {
-				d[i] = 0
-			}
-			if train {
-				r.mask[i] = pos
-			}
+	ctx.ForChunks(len(xd), func(lo, hi int) {
+		if mask != nil {
+			reluMask(od[lo:hi], xd[lo:hi], mask[lo:hi])
+		} else {
+			relu(od[lo:hi], xd[lo:hi])
 		}
 	})
-	return out
+	return tensor.FromSlice(od, x.Shape()...)
 }
 
-// Backward implements Layer.
+// Backward implements Layer: dx = mask ? g : +0, written over the forward
+// output.
 func (r *ReLU) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	d := out.Data()
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !r.mask[i] {
-				d[i] = 0
-			}
-		}
+	gd := grad.Data()
+	dd := r.out[:len(gd)]
+	mask := r.mask[:len(gd)]
+	ctx.ForChunks(len(gd), func(lo, hi int) {
+		keepMasked(dd[lo:hi], gd[lo:hi], mask[lo:hi])
 	})
-	return out
+	return tensor.FromSlice(dd, grad.Shape()...)
 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
+
+func (r *ReLU) releaseBuffers() { r.out, r.mask = nil, nil }
 
 // LeakyReLU applies x for x>0 and alpha*x otherwise.
 type LeakyReLU struct {
 	name  string
 	Alpha float64
 	mask  []bool
+	out   []float64
 }
 
 // NewLeakyReLU creates a leaky ReLU with the given negative slope.
@@ -77,41 +83,88 @@ func (r *LeakyReLU) Name() string { return r.name }
 
 // Forward implements Layer.
 func (r *LeakyReLU) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := x.Clone()
-	d := out.Data()
+	xd := x.Data()
+	var od []float64
+	var mask []bool
 	if train {
-		if cap(r.mask) < len(d) {
-			r.mask = make([]bool, len(d))
-		}
-		r.mask = r.mask[:len(d)]
+		r.out = stepBuf(r.out, len(xd))
+		r.mask = stepBuf(r.mask, len(xd))
+		od, mask = r.out, r.mask
+	} else {
+		od = ctx.Buffer(len(xd))
 	}
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pos := d[i] > 0
-			if !pos {
-				d[i] *= r.Alpha
+	alpha := r.Alpha
+	ctx.ForChunks(len(xd), func(lo, hi int) {
+		src, dst := xd[lo:hi], od[lo:hi]
+		for i, v := range src {
+			pos := v > 0
+			if mask != nil {
+				mask[lo+i] = pos
 			}
-			if train {
-				r.mask[i] = pos
-			}
+			dst[i] = selectBits(pos, v, v*alpha)
 		}
 	})
-	return out
+	return tensor.FromSlice(od, x.Shape()...)
 }
 
 // Backward implements Layer.
 func (r *LeakyReLU) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
-	out := grad.Clone()
-	d := out.Data()
-	ctx.ForChunks(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if !r.mask[i] {
-				d[i] *= r.Alpha
-			}
+	gd := grad.Data()
+	dd := r.out[:len(gd)]
+	mask := r.mask[:len(gd)]
+	alpha := r.Alpha
+	ctx.ForChunks(len(gd), func(lo, hi int) {
+		src, dst, m := gd[lo:hi], dd[lo:hi], mask[lo:hi]
+		for i, g := range src {
+			dst[i] = selectBits(m[i], g, g*alpha)
 		}
 	})
-	return out
+	return tensor.FromSlice(dd, grad.Shape()...)
 }
 
 // Params implements Layer.
 func (r *LeakyReLU) Params() []*Param { return nil }
+
+func (r *LeakyReLU) releaseBuffers() { r.out, r.mask = nil, nil }
+
+// ones returns all ones for true and zero for false. The compiler lowers
+// the conditional to a flag set, so callers stay branch-free.
+func ones(b bool) uint64 {
+	var m uint64
+	if b {
+		m = 1
+	}
+	return -m
+}
+
+// selectBits returns a if pick, else b, by masking their bit patterns.
+func selectBits(pick bool, a, b float64) float64 {
+	m := ones(pick)
+	return math.Float64frombits(math.Float64bits(a)&m | math.Float64bits(b)&^m)
+}
+
+// relu writes max(0, v) of src into dst, mapping NaN and −0 to +0.
+func relu(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & ones(v > 0))
+	}
+}
+
+// reluMask is relu that also records v > 0 per element.
+func reluMask(dst, src []float64, mask []bool) {
+	dst, mask = dst[:len(src)], mask[:len(src)]
+	for i, v := range src {
+		pos := v > 0
+		mask[i] = pos
+		dst[i] = math.Float64frombits(math.Float64bits(v) & ones(pos))
+	}
+}
+
+// keepMasked writes g where mask is set and +0 elsewhere.
+func keepMasked(dst, g []float64, mask []bool) {
+	dst, mask = dst[:len(g)], mask[:len(g)]
+	for i, v := range g {
+		dst[i] = math.Float64frombits(math.Float64bits(v) & ones(mask[i]))
+	}
+}

@@ -19,10 +19,8 @@ type Conv2D struct {
 	Dims    tensor.ConvDims
 	W, B    *Param
 	wview   tensor.Weights // eval weight view; defaults to aliasing W
-	lastIn  *tensor.Tensor
-	cols    []float64 // cached im2col matrices for the last training batch
-	dwPart  []float64 // per-sample dW partials, reduced in sample order
-	dbPart  []float64 // per-sample db partials, reduced in sample order
+	cols    []float64      // cached im2col matrices for the last training batch
+	out     []float64      // training output; Backward writes dx over it
 	lastN   int
 	useBias bool
 }
@@ -63,18 +61,18 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 		panic(fmt.Sprintf("nn: %s: input has %d elems/sample, want %d", c.name, x.Len()/n, c.Dims.InElems))
 	}
 	colSize := c.Dims.ColRows * c.Dims.Cols
+	outLen := n * c.Dims.OutElems
+	var od []float64
 	if train {
 		requireDenseForTrain(c.name, c.wview)
-		if cap(c.cols) < n*colSize {
-			c.cols = make([]float64, n*colSize)
-		}
-		c.cols = c.cols[:n*colSize]
-		c.lastIn = x
+		c.cols = stepBuf(c.cols, n*colSize)
+		c.out = stepBuf(c.out, max(outLen, n*c.Dims.InElems))
+		od = c.out[:outLen]
 		c.lastN = n
+	} else {
+		od = ctx.Buffer(outLen)
 	}
-	out := tensor.New(n, c.Dims.OutC, c.Dims.OutH, c.Dims.OutW)
 	xd := x.Data()
-	od := out.Data()
 	wv := c.wview
 	var bd []float64
 	if c.useBias {
@@ -101,40 +99,36 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 			}
 		}
 	})
-	return out
+	return tensor.FromSlice(od, n, c.Dims.OutC, c.Dims.OutH, c.Dims.OutW)
 }
 
 // Backward implements Layer. Per-sample dW/db contributions land in
 // per-sample partial buffers, which are then reduced serially in sample
 // order — the same floating-point order as a serial per-sample loop, so the
-// accumulated gradients are bit-identical for any worker count.
+// accumulated gradients are bit-identical for any worker count. The
+// partials are step buffers of the context, recycled before returning; the
+// input gradient is written over the layer's forward output.
 func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastIn == nil {
+	if c.out == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward(train)", c.name))
 	}
 	n := c.lastN
 	colSize := c.Dims.ColRows * c.Dims.Cols
 	gd := grad.Data()
-	dx := tensor.New(n, c.Dims.InC, c.Dims.InH, c.Dims.InW)
-	dxd := dx.Data()
+	dxd := dxBuf(c.out, grad, n*c.Dims.InElems)
 	spatial := c.Dims.Cols
 	wSize := c.Dims.OutC * c.Dims.ColRows
 	wd := c.W.Value.Data()
-	if cap(c.dwPart) < n*wSize {
-		c.dwPart = make([]float64, n*wSize)
-	}
-	c.dwPart = c.dwPart[:n*wSize]
+	dwPart := ctx.Buffer(n * wSize)
+	var dbPart []float64
 	if c.useBias {
-		if cap(c.dbPart) < n*c.Dims.OutC {
-			c.dbPart = make([]float64, n*c.Dims.OutC)
-		}
-		c.dbPart = c.dbPart[:n*c.Dims.OutC]
+		dbPart = ctx.Buffer(n * c.Dims.OutC)
 	}
 	ctx.For(n, func(i int, a *compute.Arena) {
 		gSample := gd[i*c.Dims.OutElems : (i+1)*c.Dims.OutElems]
 		col := c.cols[i*colSize : (i+1)*colSize]
 		// dW_i = g·colᵀ : (outC,cols)·(cols,colRows)
-		tensor.MatMulTSlice(c.dwPart[i*wSize:(i+1)*wSize], gSample, col, c.Dims.OutC, spatial, c.Dims.ColRows)
+		tensor.MatMulTSlice(dwPart[i*wSize:(i+1)*wSize], gSample, col, c.Dims.OutC, spatial, c.Dims.ColRows)
 		// dcol = Wᵀ·g : (colRows,outC)·(outC,cols)
 		dcol := a.Floats(colSize)
 		tensor.TMatMulSlice(dcol, wd, gSample, c.Dims.OutC, c.Dims.ColRows, spatial)
@@ -146,7 +140,7 @@ func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor 
 				for _, v := range row {
 					s += v
 				}
-				c.dbPart[i*c.Dims.OutC+ch] = s
+				dbPart[i*c.Dims.OutC+ch] = s
 			}
 		}
 	})
@@ -154,19 +148,23 @@ func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor 
 	wg := c.W.Grad.Data()
 	bg := c.B.Grad.Data()
 	for i := 0; i < n; i++ {
-		dwi := c.dwPart[i*wSize : (i+1)*wSize]
+		dwi := dwPart[i*wSize : (i+1)*wSize]
 		for j, v := range dwi {
 			wg[j] += v
 		}
 		if c.useBias {
-			dbi := c.dbPart[i*c.Dims.OutC : (i+1)*c.Dims.OutC]
+			dbi := dbPart[i*c.Dims.OutC : (i+1)*c.Dims.OutC]
 			for ch, v := range dbi {
 				bg[ch] += v
 			}
 		}
 	}
-	return dx
+	ctx.Recycle(dwPart)
+	ctx.Recycle(dbPart)
+	return tensor.FromSlice(dxd, n, c.Dims.InC, c.Dims.InH, c.Dims.InW)
 }
 
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
+
+func (c *Conv2D) releaseBuffers() { c.cols, c.out = nil, nil }

@@ -17,7 +17,7 @@ type Dense struct {
 	W, B     *Param
 	wview    tensor.Weights // eval weight view; defaults to aliasing W
 	lastIn   *tensor.Tensor
-	dwPart   []float64 // per-sample dW partials, reduced in sample order
+	out      []float64 // training output; Backward writes dx over it
 	withBias bool
 }
 
@@ -50,13 +50,16 @@ func (d *Dense) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.
 	if x2.Dim(1) != d.In {
 		panic(fmt.Sprintf("nn: %s: input features %d, want %d", d.name, x2.Dim(1), d.In))
 	}
+	var yd []float64
 	if train {
 		requireDenseForTrain(d.name, d.wview)
 		d.lastIn = x2
+		d.out = stepBuf(d.out, max(n*d.Out, n*d.In))
+		yd = d.out[:n*d.Out]
+	} else {
+		yd = ctx.Buffer(n * d.Out)
 	}
-	y := tensor.New(n, d.Out)
 	xd := x2.Data()
-	yd := y.Data()
 	wv := d.wview
 	var bd []float64
 	if d.withBias {
@@ -75,12 +78,13 @@ func (d *Dense) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.
 			}
 		}
 	})
-	return y
+	return tensor.FromSlice(yd, n, d.Out)
 }
 
 // Backward implements Layer. Per-sample weight-gradient outer products are
-// staged in per-sample partials and reduced in sample order, keeping the
-// accumulated gradient bit-identical for any worker count.
+// staged in per-sample partials (a step buffer of the context) and reduced
+// in sample order, keeping the accumulated gradient bit-identical for any
+// worker count. dx is written over the forward output.
 func (d *Dense) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastIn == nil {
 		panic(fmt.Sprintf("nn: %s: Backward before Forward(train)", d.name))
@@ -91,18 +95,14 @@ func (d *Dense) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 	xd := d.lastIn.Data()
 	wd := d.W.Value.Data()
 	wSize := d.Out * d.In
-	if cap(d.dwPart) < n*wSize {
-		d.dwPart = make([]float64, n*wSize)
-	}
-	d.dwPart = d.dwPart[:n*wSize]
-	dx := tensor.New(n, d.In)
-	dxd := dx.Data()
+	dwPart := ctx.Buffer(n * wSize)
+	dxd := dxBuf(d.out, grad, n*d.In)
 	ctx.ForChunks(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// dW_i = g_i ⊗ x_i : (out,1)·(1,in)
 			gi := gd[i*d.Out : (i+1)*d.Out]
 			xi := xd[i*d.In : (i+1)*d.In]
-			dwi := d.dwPart[i*wSize : (i+1)*wSize]
+			dwi := dwPart[i*wSize : (i+1)*wSize]
 			for o, gv := range gi {
 				row := dwi[o*d.In : (o+1)*d.In]
 				if gv == 0 {
@@ -122,7 +122,7 @@ func (d *Dense) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 	// Deterministic reduction in sample order.
 	wg := d.W.Grad.Data()
 	for i := 0; i < n; i++ {
-		dwi := d.dwPart[i*wSize : (i+1)*wSize]
+		dwi := dwPart[i*wSize : (i+1)*wSize]
 		for j, v := range dwi {
 			wg[j] += v
 		}
@@ -136,8 +136,11 @@ func (d *Dense) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	return dx
+	ctx.Recycle(dwPart)
+	return tensor.FromSlice(dxd, n, d.In)
 }
 
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
+
+func (d *Dense) releaseBuffers() { d.lastIn, d.out = nil, nil }

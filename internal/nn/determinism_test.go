@@ -116,12 +116,12 @@ func TestLayerGradsBitIdenticalAcrossThreadCounts(t *testing.T) {
 					p.ZeroGrad()
 				}
 				out := l.Forward(ctx, x, true)
+				// Backward writes dx over the forward output, so copy
+				// the output before it runs.
+				s := snapshot{out: append([]float64(nil), out.Data()...)}
 				g := tensor.New(out.Shape()...).RandN(rand.New(rand.NewSource(83)), 0, 1)
 				dx := l.Backward(ctx, g)
-				s := snapshot{
-					out: append([]float64(nil), out.Data()...),
-					dx:  append([]float64(nil), dx.Data()...),
-				}
+				s.dx = append([]float64(nil), dx.Data()...)
 				for _, p := range l.Params() {
 					s.grads = append(s.grads, append([]float64(nil), p.Grad.Data()...))
 				}

@@ -79,7 +79,9 @@ func checkLayerGradientsCtx(t *testing.T, ctx *compute.Ctx, layer Layer, inShape
 	}
 	out := layer.Forward(ctx, x, true)
 	g := tensor.FromSlice(append([]float64(nil), proj...), out.Shape()...)
-	dx := layer.Backward(ctx, g)
+	// A layer's returned gradient is only valid until its next call, and
+	// the numeric checks below run Forward again: keep a copy.
+	dx := layer.Backward(ctx, g).Clone()
 
 	// Input gradient check (subsample for speed).
 	xd := x.Data()
@@ -220,7 +222,9 @@ func testBatchNormGradients(t *testing.T, ctx *compute.Ctx) {
 	bn.Beta.ZeroGrad()
 	out := bn.Forward(ctx, x, true)
 	g := tensor.FromSlice(append([]float64(nil), proj...), out.Shape()...)
-	dx := bn.Backward(ctx, g)
+	// The numeric loss runs Forward again, which reuses the buffer the
+	// returned gradient lives in: keep a copy.
+	dx := bn.Backward(ctx, g).Clone()
 
 	xd := x.Data()
 	for _, i := range sampleIndices(len(xd), 10, 6) {

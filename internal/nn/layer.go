@@ -14,6 +14,12 @@ import (
 // accumulating parameter gradients along the way. Backward must be called
 // with the same batch that was last passed to Forward with train=true.
 //
+// A tensor returned by Forward or Backward is valid at least until the
+// layer's next call: training buffers are reused from one step to the next,
+// Backward writes the input gradient over the layer's forward output, and
+// an eval output belongs to the caller, who may recycle it into the
+// context's step buffers (see buffers.go).
+//
 // Both passes receive the execution context that owns the worker pool and
 // scratch arenas; layers shard their per-sample batch loops across it
 // instead of allocating scratch privately. Implementations must follow the
@@ -50,10 +56,18 @@ func (s *Sequential) Name() string { return s.name }
 // Add appends a layer.
 func (s *Sequential) Add(l Layer) { s.Layers = append(s.Layers, l) }
 
-// Forward implements Layer.
+// Forward implements Layer. In eval mode each intermediate goes back to
+// the context's step buffers once the next layer has consumed it; the
+// container's own input, and an output that aliases its input (Flatten's
+// reshaped view), are never recycled.
 func (s *Sequential) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
+	in := x
 	for _, l := range s.Layers {
-		x = l.Forward(ctx, x, train)
+		y := l.Forward(ctx, x, train)
+		if !train {
+			recycle(ctx, x, in, y)
+		}
+		x = y
 	}
 	return x
 }

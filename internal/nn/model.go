@@ -169,26 +169,34 @@ func (m *Model) InputLen() int {
 // the property the serving batcher relies on to coalesce concurrent
 // requests without changing anyone's answer. Pinned by
 // TestEvalBatchBitIdenticalToSingle.
+//
+// The rows are the caller's; the input batch and the logits tensor are step
+// buffers of the model's context and go back to it before returning.
 func (m *Model) EvalBatch(inputs [][]float64) ([][]float64, error) {
 	if len(inputs) == 0 {
 		return nil, nil
 	}
 	u := m.InputLen()
-	x := tensor.New(append([]int{len(inputs)}, m.InputShape...)...)
-	xd := x.Data()
 	for i, in := range inputs {
 		if len(in) != u {
 			return nil, fmt.Errorf("nn: EvalBatch input %d has %d values, model takes %d", i, len(in), u)
 		}
+	}
+	ctx := m.Ctx()
+	xd := ctx.Buffer(len(inputs) * u)
+	for i, in := range inputs {
 		copy(xd[i*u:(i+1)*u], in)
 	}
+	x := tensor.FromSlice(xd, append([]int{len(inputs)}, m.InputShape...)...)
 	logits := m.Forward(x)
 	k := logits.Dim(1)
-	ld := logits.Data()
+	flat := append([]float64(nil), logits.Data()...)
 	out := make([][]float64, len(inputs))
 	for i := range out {
-		out[i] = append([]float64(nil), ld[i*k:(i+1)*k]...)
+		out[i] = flat[i*k : (i+1)*k : (i+1)*k]
 	}
+	recycle(ctx, logits, x)
+	ctx.Recycle(xd)
 	return out, nil
 }
 
@@ -205,13 +213,14 @@ func (m *Model) Predict(x *tensor.Tensor, batchSize int) []int {
 		if hi > n {
 			hi = n
 		}
-		logits := m.Forward(x.View(lo, hi))
+		xv := x.View(lo, hi)
+		logits := m.Forward(xv)
 		k := logits.Dim(1)
 		ld := logits.Data()
 		for i := 0; i < hi-lo; i++ {
-			row := tensor.FromSlice(ld[i*k:(i+1)*k], k)
-			out[lo+i] = row.ArgMax()
+			out[lo+i] = tensor.ArgMax(ld[i*k : (i+1)*k])
 		}
+		recycle(m.Ctx(), logits, xv)
 	}
 	return out
 }
@@ -275,11 +284,16 @@ func (m *Model) GroupsByConvIndex(bounds []int) []LayerGroup {
 
 // FlattenValues concatenates the group's parameter values into one vector.
 func (g LayerGroup) FlattenValues() []float64 {
-	out := make([]float64, 0, g.NumEl)
+	return g.AppendValues(make([]float64, 0, g.NumEl))
+}
+
+// AppendValues appends the group's parameter values to dst, in the order
+// FlattenValues uses, and returns the extended slice.
+func (g LayerGroup) AppendValues(dst []float64) []float64 {
 	for _, p := range g.Params {
-		out = append(out, p.Value.Data()...)
+		dst = append(dst, p.Value.Data()...)
 	}
-	return out
+	return dst
 }
 
 // ScatterValues writes a flat vector (as produced by FlattenValues) back

@@ -38,10 +38,11 @@ type BatchNorm2D struct {
 	DeferStats bool
 
 	// caches for backward
-	lastXHat *tensor.Tensor
-	lastStd  []float64
-	lastN    int
-	lastHW   int
+	xhat    []float64 // normalized input of the last training batch
+	out     []float64 // training output; Backward writes dx over it
+	lastStd []float64
+	lastN   int
+	lastHW  int
 
 	// batch moments of the last training forward (per channel)
 	lastMu []float64
@@ -74,12 +75,11 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 	n := x.Dim(0)
 	hw := x.Len() / (n * b.C)
 	xd := x.Data()
-	out := tensor.New(x.Shape()...)
-	od := out.Data()
 	gd := b.Gamma.Value.Data()
 	bd := b.Beta.Value.Data()
 
 	if !train {
+		od := ctx.Buffer(len(xd))
 		ctx.For(b.C, func(c int, _ *compute.Arena) {
 			invStd := 1.0 / math.Sqrt(b.RunVar[c]+b.Eps)
 			mu := b.RunMean[c]
@@ -91,12 +91,13 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 				}
 			}
 		})
-		return out
+		return tensor.FromSlice(od, x.Shape()...)
 	}
 
 	cnt := float64(n * hw)
-	xhat := tensor.New(x.Shape()...)
-	xh := xhat.Data()
+	b.xhat = stepBuf(b.xhat, len(xd))
+	b.out = stepBuf(b.out, len(xd))
+	xh, od := b.xhat, b.out
 	if cap(b.lastStd) < b.C {
 		b.lastStd = make([]float64, b.C)
 	}
@@ -143,22 +144,26 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 			b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va
 		}
 	})
-	b.lastXHat = xhat
 	b.lastN = n
 	b.lastHW = hw
-	return out
+	return tensor.FromSlice(od, x.Shape()...)
 }
 
 // Backward implements Layer, using the standard batch-norm gradient:
 //
 //	dx = γ/σ · (dy − mean(dy) − x̂·mean(dy·x̂))
+//
+// dx is written over the forward output. Each element is read from grad
+// before its dx is stored, so grad may itself be that buffer.
 func (b *BatchNorm2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
+	if b.out == nil {
+		panic(fmt.Sprintf("nn: %s: Backward before Forward(train)", b.name))
+	}
 	n, hw := b.lastN, b.lastHW
 	cnt := float64(n * hw)
 	gd := grad.Data()
-	xh := b.lastXHat.Data()
-	dx := tensor.New(grad.Shape()...)
-	dd := dx.Data()
+	xh := b.xhat
+	dd := b.out[:len(gd)]
 	gamma := b.Gamma.Value.Data()
 	dgamma := b.Gamma.Grad.Data()
 	dbeta := b.Beta.Grad.Data()
@@ -184,8 +189,10 @@ func (b *BatchNorm2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Te
 			}
 		}
 	})
-	return dx
+	return tensor.FromSlice(dd, grad.Shape()...)
 }
+
+func (b *BatchNorm2D) releaseBuffers() { b.xhat, b.out = nil, nil }
 
 // BatchStats returns the per-channel batch mean and variance computed by
 // the most recent training forward pass. The slices are internal buffers,

@@ -103,6 +103,7 @@ func (p *MaxPool2D) Params() []*Param { return nil }
 type GlobalAvgPool struct {
 	name    string
 	C, H, W int
+	out     []float64 // training output, sized for the input gradient too
 }
 
 // NewGlobalAvgPool creates a global average pooling layer.
@@ -117,9 +118,14 @@ func (p *GlobalAvgPool) Name() string { return p.name }
 func (p *GlobalAvgPool) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Dim(0)
 	spatial := p.H * p.W
-	out := tensor.New(n, p.C)
+	var od []float64
+	if train {
+		p.out = stepBuf(p.out, n*p.C*spatial)
+		od = p.out[:n*p.C]
+	} else {
+		od = ctx.Buffer(n * p.C)
+	}
 	xd := x.Data()
-	od := out.Data()
 	inv := 1.0 / float64(spatial)
 	ctx.For(n, func(b int, _ *compute.Arena) {
 		for c := 0; c < p.C; c++ {
@@ -131,15 +137,14 @@ func (p *GlobalAvgPool) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) 
 			od[b*p.C+c] = s * inv
 		}
 	})
-	return out
+	return tensor.FromSlice(od, n, p.C)
 }
 
-// Backward implements Layer.
+// Backward implements Layer. dx is written over the forward output.
 func (p *GlobalAvgPool) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
 	n := grad.Dim(0)
 	spatial := p.H * p.W
-	dx := tensor.New(n, p.C, p.H, p.W)
-	dd := dx.Data()
+	dd := dxBuf(p.out, grad, n*p.C*spatial)
 	gd := grad.Data()
 	inv := 1.0 / float64(spatial)
 	ctx.For(n, func(b int, _ *compute.Arena) {
@@ -151,11 +156,13 @@ func (p *GlobalAvgPool) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.
 			}
 		}
 	})
-	return dx
+	return tensor.FromSlice(dd, n, p.C, p.H, p.W)
 }
 
 // Params implements Layer.
 func (p *GlobalAvgPool) Params() []*Param { return nil }
+
+func (p *GlobalAvgPool) releaseBuffers() { p.out = nil }
 
 // Flatten reshapes (N, ...) to (N, features). It is a no-op on storage and
 // exists to make architectures explicit.

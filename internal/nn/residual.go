@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/compute"
@@ -15,14 +16,14 @@ import (
 // and a 1×1 strided convolution + batch-norm otherwise (the "option B"
 // projection from He et al.).
 type Residual struct {
-	name  string
-	body  *Sequential
-	proj  *Sequential // nil means identity shortcut
-	relu  *ReLU
-	saved *tensor.Tensor // input cache for the shortcut path
-	OutC  int
-	OutH  int
-	OutW  int
+	name string
+	body *Sequential
+	proj *Sequential // nil means identity shortcut
+	relu *ReLU
+	sum  []float64 // training residual sum; Backward writes dx over it
+	OutC int
+	OutH int
+	OutW int
 }
 
 // NewResidual builds a basic block mapping (inC, h, w) to (outC, h/stride,
@@ -63,47 +64,65 @@ func NewResidual(name string, inC, h, w, outC, stride int, idx int, rng *rand.Ra
 // Name implements Layer.
 func (r *Residual) Name() string { return r.name }
 
-// addTensors returns a+b elementwise, chunked across the context's workers
-// (a pure map: element i depends only on a[i] and b[i]).
-func addTensors(ctx *compute.Ctx, a, b *tensor.Tensor) *tensor.Tensor {
-	sum := tensor.New(a.Shape()...)
-	sd := sum.Data()
-	ad := a.Data()
-	bd := b.Data()
-	ctx.ForChunks(len(sd), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sd[i] = ad[i] + bd[i]
+// addInto writes a+b elementwise into dst, chunked across the context's
+// workers (a pure map: element i depends only on a[i] and b[i]).
+func addInto(ctx *compute.Ctx, dst, a, b []float64) {
+	ctx.ForChunks(len(dst), func(lo, hi int) {
+		d, x, y := dst[lo:hi], a[lo:hi], b[lo:hi]
+		for i := range d {
+			d[i] = x[i] + y[i]
 		}
 	})
-	return sum
 }
 
-// Forward implements Layer.
+// Forward implements Layer. In eval mode the body output, the projection
+// output and the sum go back to the context's step buffers once used.
 func (r *Residual) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		r.saved = x
-	}
 	y := r.body.Forward(ctx, x, train)
-	var sc *tensor.Tensor
+	sc := x
 	if r.proj != nil {
 		sc = r.proj.Forward(ctx, x, train)
-	} else {
-		sc = x
 	}
-	return r.relu.Forward(ctx, addTensors(ctx, y, sc), train)
+	var sd []float64
+	if train {
+		r.sum = stepBuf(r.sum, max(y.Len(), x.Len()))
+		sd = r.sum[:y.Len()]
+	} else {
+		sd = ctx.Buffer(y.Len())
+	}
+	addInto(ctx, sd, y.Data(), sc.Data())
+	sum := tensor.FromSlice(sd, y.Shape()...)
+	out := r.relu.Forward(ctx, sum, train)
+	if !train {
+		recycle(ctx, y, x)
+		if r.proj != nil {
+			recycle(ctx, sc, x)
+		}
+		ctx.Recycle(sd)
+	}
+	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The input gradient is written over the
+// residual sum, dead once relu2's backward has run.
 func (r *Residual) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor {
+	if r.sum == nil {
+		panic(fmt.Sprintf("nn: %s: Backward before Forward(train)", r.name))
+	}
 	g := r.relu.Backward(ctx, grad)
 	dxBody := r.body.Backward(ctx, g)
-	var dxShort *tensor.Tensor
+	dxShort := g
 	if r.proj != nil {
 		dxShort = r.proj.Backward(ctx, g)
-	} else {
-		dxShort = g
 	}
-	return addTensors(ctx, dxBody, dxShort)
+	dd := r.sum[:dxBody.Len()]
+	addInto(ctx, dd, dxBody.Data(), dxShort.Data())
+	return tensor.FromSlice(dd, dxBody.Shape()...)
+}
+
+func (r *Residual) releaseBuffers() {
+	r.sum = nil
+	r.relu.releaseBuffers()
 }
 
 // Children returns the block's composite sub-layers (body and, when a

@@ -41,6 +41,7 @@ func FineTune(m *nn.Model, a *Applied, x *tensor.Tensor, y []int, cfg FineTuneCo
 	if cfg.LR == 0 {
 		cfg.LR = 0.01
 	}
+	defer m.ReleaseBuffers()
 	n := x.Dim(0)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := make([]int, n)

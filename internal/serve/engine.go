@@ -246,13 +246,16 @@ func (e *Engine) flush(pending *[]*request) {
 	start := e.now()
 	logits, err := e.model.EvalBatch(inputs)
 	lat := e.now().Sub(start)
+	// Stats are recorded before any answer goes out, so a caller that has
+	// its answer also sees its batch counted.
 	if err != nil {
+		e.stats.recordError(len(batch))
 		for _, r := range batch {
 			r.resp <- result{tm: timingFor(r, flushStart, lat, len(batch)), err: err}
 		}
-		e.stats.recordError(len(batch))
 		return
 	}
+	e.stats.recordBatch(len(batch), lat)
 	for i, r := range batch {
 		r.resp <- result{
 			pred: Prediction{
@@ -263,7 +266,6 @@ func (e *Engine) flush(pending *[]*request) {
 			tm: timingFor(r, flushStart, lat, len(batch)),
 		}
 	}
-	e.stats.recordBatch(len(batch), lat)
 }
 
 // timingFor derives one request's Timing from its flush: queue wait is

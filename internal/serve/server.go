@@ -202,7 +202,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(limitBody(w, r)).Decode(&req)
 	sp.End()
 	if err != nil {
-		if tooLarge(err) {
+		if api.TooLarge(err) {
 			fail(http.StatusRequestEntityTooLarge, api.CodeTooLarge, "request body over %d bytes", api.MaxRequestBody)
 			return
 		}
@@ -405,28 +405,6 @@ func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
 	return http.MaxBytesReader(w, r.Body, api.MaxRequestBody)
 }
 
-func tooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
-// writeBodyError answers a model op whose body failed to decode: 400, or
-// 413 when the body went over the cap. The 413 carries a trace ID (the
-// caller's X-Dac-Trace, else a fresh one) in the envelope and the header,
-// so an oversize request can be quoted even though ops are not traced.
-func writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
-	if !tooLarge(err) {
-		api.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "", "bad request body: %v", err)
-		return
-	}
-	id, _, _ := obs.ParseTraceHeader(r.Header.Get(obs.HeaderTrace))
-	if id.IsZero() {
-		id = obs.NewTraceID()
-	}
-	w.Header().Set(obs.HeaderTrace, id.String())
-	api.WriteError(w, http.StatusRequestEntityTooLarge, api.CodeTooLarge, id.String(), "request body over %d bytes", api.MaxRequestBody)
-}
-
 // handleModelOp routes POST /v1/models/{name}:{op} through the op
 // dispatch table.
 func (s *Server) handleModelOp(w http.ResponseWriter, r *http.Request) {
@@ -442,7 +420,7 @@ func (s *Server) opAudit(w http.ResponseWriter, r *http.Request, name string) {
 	var req auditRequest
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(limitBody(w, r)).Decode(&req); err != nil {
-			writeBodyError(w, r, err)
+			api.WriteBodyError(w, r, err, api.MaxRequestBody)
 			return
 		}
 	}
@@ -492,7 +470,7 @@ type loadRequest struct {
 func (s *Server) opLoad(w http.ResponseWriter, r *http.Request, name string) {
 	var req loadRequest
 	if err := json.NewDecoder(limitBody(w, r)).Decode(&req); err != nil {
-		writeBodyError(w, r, err)
+		api.WriteBodyError(w, r, err, api.MaxRequestBody)
 		return
 	}
 	if req.Digest == "" {
@@ -533,7 +511,7 @@ func (s *Server) opPolicy(w http.ResponseWriter, r *http.Request, name string) {
 	}
 	var p Policy
 	if err := json.NewDecoder(limitBody(w, r)).Decode(&p); err != nil {
-		writeBodyError(w, r, err)
+		api.WriteBodyError(w, r, err, api.MaxRequestBody)
 		return
 	}
 	if err := s.reg.SetPolicy(name, p); err != nil {

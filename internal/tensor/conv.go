@@ -79,39 +79,61 @@ func Im2Col(d ConvDims, src, dst []float64) {
 
 // Col2Im scatters a (ColRows × Cols) patch-gradient matrix back into an
 // input-gradient buffer dst (length d.InElems), accumulating overlaps.
-// dst is zeroed first.
+// dst is zeroed first, so its previous contents do not matter.
+//
+// Each kernel tap's in-bounds output rows and columns are computed once, so
+// the inner loop adds a contiguous run (a strided one for stride > 1)
+// without per-element bounds tests. Taps, rows and columns are visited in
+// the same order as a bounds-testing loop would, so every element
+// accumulates the same terms in the same order.
 func Col2Im(d ConvDims, src, dst []float64) {
 	if len(dst) != d.InElems || len(src) != d.ColRows*d.Cols {
 		panic(fmt.Sprintf("tensor: Col2Im buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.ColRows*d.Cols, d.InElems))
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	cols := d.Cols
 	idx := 0
 	for c := 0; c < d.InC; c++ {
 		chBase := c * d.InH * d.InW
 		for ky := 0; ky < d.KH; ky++ {
+			oyLo, oyHi := tapRange(ky, d.Stride, d.Pad, d.InH, d.OutH)
 			for kx := 0; kx < d.KW; kx++ {
 				row := src[idx*cols : (idx+1)*cols]
 				idx++
-				j := 0
-				for oy := 0; oy < d.OutH; oy++ {
+				oxLo, oxHi := tapRange(kx, d.Stride, d.Pad, d.InW, d.OutW)
+				if oxLo >= oxHi {
+					continue
+				}
+				for oy := oyLo; oy < oyHi; oy++ {
 					iy := oy*d.Stride - d.Pad + ky
-					if iy < 0 || iy >= d.InH {
-						j += d.OutW
+					run := row[oy*d.OutW+oxLo : oy*d.OutW+oxHi]
+					base := chBase + iy*d.InW + oxLo*d.Stride - d.Pad + kx
+					if d.Stride == 1 {
+						out := dst[base : base+len(run)]
+						for i, v := range run {
+							out[i] += v
+						}
 						continue
 					}
-					rowBase := chBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride - d.Pad + kx
-						if ix >= 0 && ix < d.InW {
-							dst[rowBase+ix] += row[j]
-						}
-						j++
+					for i, v := range run {
+						dst[base+i*d.Stride] += v
 					}
 				}
 			}
 		}
 	}
+}
+
+// tapRange returns the output positions [lo, hi) at which kernel tap k reads
+// an in-bounds input position o*stride - pad + k ∈ [0, in); lo >= hi when
+// there are none.
+func tapRange(k, stride, pad, in, out int) (lo, hi int) {
+	if p := pad - k; p > 0 {
+		lo = (p + stride - 1) / stride
+	}
+	top := in - 1 + pad - k
+	if top < 0 {
+		return 0, 0
+	}
+	return lo, min(out, top/stride+1)
 }

@@ -146,10 +146,16 @@ func (t *Tensor) ArgMax() int {
 	if len(t.data) == 0 {
 		panic("tensor: ArgMax of empty tensor")
 	}
-	best, bi := t.data[0], 0
-	for i, v := range t.data[1:] {
-		if v > best {
-			best, bi = v, i+1
+	return ArgMax(t.data)
+}
+
+// ArgMax returns the index of the first largest element of a non-empty
+// slice.
+func ArgMax(v []float64) int {
+	best, bi := v[0], 0
+	for i, x := range v[1:] {
+		if x > best {
+			best, bi = x, i+1
 		}
 	}
 	return bi

@@ -198,6 +198,7 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	} else {
 		m.SetThreads(cfg.Threads)
 	}
+	defer m.ReleaseBuffers()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	perm := make([]int, n)
 	for i := range perm {
