@@ -1,6 +1,9 @@
 package extract
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -267,6 +270,39 @@ func TestDistillDeterministic(t *testing.T) {
 			if av[j] != bv[j] {
 				t.Fatalf("param %d[%d]: %v != %v across thread counts", i, j, av[j], bv[j])
 			}
+		}
+	}
+}
+
+// TestDistillGolden pins the surrogate's bytes — every parameter as
+// little-endian float64 bits — for soft and hard (label-only) targets, so
+// a change to the distillation loop that moves a single bit fails here.
+func TestDistillGolden(t *testing.T) {
+	for _, tc := range []struct {
+		victim *fakeVictim
+		want   string
+	}{
+		{&fakeVictim{classes: 4, soft: true}, "c5ee5d372837ad86258a03248255611d128e708c5bc3f4e75dde9e11aeb2adf6"},
+		{&fakeVictim{classes: 4, mode: "label"}, "275baa922ccbc2f5015006f261888931df013bb0f76e89c2c670afa26f9cfc91"},
+	} {
+		cfg := Config{
+			Budget: 96, BatchSize: 32, Strategy: NewRandom(64),
+			Seed: 11, Surrogate: testArch(), Epochs: 3, TrainBatch: 16,
+		}
+		h, err := HarvestQueries(tc.victim, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.New()
+		var word [8]byte
+		for _, p := range Distill(h, cfg).Params() {
+			for _, v := range p.Value.Data() {
+				binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+				sum.Write(word[:])
+			}
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != tc.want {
+			t.Errorf("soft=%v: surrogate digest %s, want %s", h.Soft, got, tc.want)
 		}
 	}
 }
