@@ -13,10 +13,9 @@ race:
 # Fast race gate over the concurrent packages only. internal/quantize is
 # here for the codebook-native eval tests, which forward through the worker
 # pool at several thread counts; internal/gateway for the fleet-routing
-# tests (concurrent probes, rolling reloads, and hot-swap under fire);
-# internal/dist for the multi-process trainer's in-process multi-rank tests.
+# tests (concurrent probes, rolling reloads, and hot-swap under fire).
 race-fast:
-	go test -race ./internal/compute/ ./internal/nn/ ./internal/train/ ./internal/dist/ ./internal/serve/ ./internal/obs/ ./internal/quantize/ ./internal/gateway/ ./internal/api/ ./internal/extract/
+	go test -race ./internal/compute/ ./internal/nn/ ./internal/train/ ./internal/serve/ ./internal/obs/ ./internal/quantize/ ./internal/gateway/ ./internal/api/ ./internal/extract/
 
 vet:
 	go vet ./...
@@ -61,12 +60,11 @@ gateway-bench:
 extract-bench:
 	go test ./internal/extract/ -run '^TestEmitExtractBench$$' -count=1 -v -timeout 30m -args -emit-bench=$(CURDIR)/BENCH_extract.json
 
-# Data-parallel training benchmark: the same fixed-shard training job at
-# procs ∈ {1,2,4} (in-process ranks over a shared mailbox) written to
-# BENCH_dp.json; fails unless the final checkpoint is byte-identical across
-# every process count.
-dp-bench:
-	go test ./internal/dist/ -run '^TestEmitDPBench$$' -count=1 -v -timeout 20m -args -emit-bench=$(CURDIR)/BENCH_dp.json
+# Short fuzz run of the training-checkpoint decoder over hostile bytes
+# (seed corpus in internal/train/testdata/fuzz). Minimization is capped so
+# a new coverage input does not stall the run for a minute.
+fuzz-checkpoint:
+	go test ./internal/train/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s -fuzzminimizetime 100x
 
 # Observability overhead guard: instrumented-vs-uninstrumented forward pass
 # written to BENCH_obs.json; fails if enabling obs costs more than 2%.
@@ -80,4 +78,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench dp-bench
+.PHONY: check race race-fast vet bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench fuzz-checkpoint

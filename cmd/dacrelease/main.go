@@ -23,17 +23,18 @@ import (
 	"os"
 	"path/filepath"
 
-	"io"
-
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dist"
 	"repro/internal/modelio"
 	"repro/internal/obs"
 	"repro/internal/quantize"
 	"repro/internal/serve"
 )
+
+// batchSize is the release training's minibatch size; -shards may not
+// exceed it.
+const batchSize = 32
 
 func main() {
 	modelPath := flag.String("model", "released.bin", "output model file")
@@ -49,19 +50,11 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a phase-span timing report to this file at exit (\"-\" for stderr)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store; stages with cached results are skipped across invocations")
 	resume := flag.Bool("resume", false, "with -cache-dir: continue an interrupted training run from its latest epoch checkpoint")
-	var dcli dist.CLI
-	dcli.Register(flag.CommandLine)
+	shards := flag.Int("shards", 0, fmt.Sprintf("gradient shards per batch, a semantic knob results depend on (0 = 1; at most the batch size %d)", batchSize))
 	flag.Parse()
-
-	sess, fleet, err := dcli.Resolve(os.Args[1:])
-	if err != nil {
-		fatal(err)
-	}
-	worker := sess != nil && sess.Worker()
-	if worker {
-		// Workers feed gradient shards into the coordinator's training run
-		// and never write release outputs or reports.
-		*traceOut = ""
+	if *shards < 0 || *shards > batchSize {
+		fmt.Fprintf(os.Stderr, "dacrelease: -shards %d outside [0, %d] (every shard needs at least one sample of the batch)\n", *shards, batchSize)
+		os.Exit(2)
 	}
 
 	var tracer *obs.Tracer
@@ -85,28 +78,19 @@ func main() {
 	preset := core.CIFARRelease()
 	data := dataset.SyntheticCIFAR(preset.DataConfig(*n, *seed))
 	arch := preset.ArchConfig(1)
-	logw := io.Writer(os.Stderr)
-	if worker {
-		logw = nil
-	}
 	res := core.Run(core.Config{
 		Data: data, ModelCfg: arch,
 		GroupBounds: preset.GroupBounds,
 		Lambdas:     preset.Lambdas(*lambda),
 		WindowLen:   preset.WindowLen,
-		Epochs:      *epochs, BatchSize: 32, LR: 0.05, Momentum: 0.9, ClipNorm: 5,
+		Epochs:      *epochs, BatchSize: batchSize, LR: 0.05, Momentum: 0.9, ClipNorm: 5,
 		Quant: core.QuantTargetCorrelated, Bits: *bits,
 		FineTuneEpochs: 3, KeepRegDuringFineTune: true,
-		Seed: *seed, Log: logw,
+		Seed: *seed, Log: os.Stderr,
 		Threads: *threads, Trace: tracer,
 		Cache: store, Resume: *resume,
-		Dist: sess, Shards: dcli.Shards,
+		Shards: *shards,
 	})
-	if worker {
-		// The coordinator owns the release; this rank's contribution ended
-		// with the jointly trained model.
-		return
-	}
 
 	rm, err := modelio.Export(res.Model, arch, res.Applied)
 	if err != nil {
@@ -154,10 +138,6 @@ func main() {
 			}
 		}
 		fmt.Printf("wrote %d ground-truth targets to %s\n", res.Plan.TotalImages(), *truthDir)
-	}
-
-	if err := fleet.Wait(); err != nil {
-		fatal(err)
 	}
 }
 

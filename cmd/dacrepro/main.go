@@ -11,11 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/artifact"
-	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -29,8 +27,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a phase-span timing report to this file at exit (\"-\" for stderr)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store; stages with cached results are skipped across invocations")
 	resume := flag.Bool("resume", false, "with -cache-dir: continue interrupted training runs from their latest epoch checkpoint")
-	var dcli dist.CLI
-	dcli.Register(flag.CommandLine)
+	shards := flag.Int("shards", 0, fmt.Sprintf("gradient shards per batch, a semantic knob results depend on (0 = 1; at most the batch size %d)", experiments.BatchSize))
 	flag.Parse()
 
 	args := flag.Args()
@@ -40,27 +37,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	sess, fleet, err := dcli.Resolve(os.Args[1:])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dacrepro: %v\n", err)
+	if *shards < 0 || *shards > experiments.BatchSize {
+		fmt.Fprintf(os.Stderr, "dacrepro: -shards %d outside [0, %d] (every shard needs at least one sample of the batch)\n", *shards, experiments.BatchSize)
 		os.Exit(2)
 	}
-	worker := sess != nil && sess.Worker()
-	if worker {
-		// Workers contribute gradient shards to the coordinator's training
-		// runs; the coordinator alone owns the run's outputs (tables,
-		// figures, traces, progress lines).
-		*verbose, *traceOut, *outDir = false, "", ""
-	}
 
-	tableOut := io.Writer(os.Stdout)
-	if worker {
-		tableOut = io.Discard
-	}
-	env := experiments.NewEnv(*seed, *quick, tableOut)
+	env := experiments.NewEnv(*seed, *quick, os.Stdout)
 	env.Threads = *threads
-	env.Dist = sess
-	env.Shards = dcli.Shards
+	env.Shards = *shards
 	if *cacheDir != "" {
 		store, err := artifact.Open(*cacheDir)
 		if err != nil {
@@ -69,13 +53,11 @@ func main() {
 		}
 		env.Cache = store
 		env.Resume = *resume
-		if !worker {
-			defer func() {
-				st := store.Stats()
-				fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d bytes read, %d bytes written\n",
-					st.Hits, st.Misses, st.ReadBytes, st.WriteBytes)
-			}()
-		}
+		defer func() {
+			st := store.Stats()
+			fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses, %d bytes read, %d bytes written\n",
+				st.Hits, st.Misses, st.ReadBytes, st.WriteBytes)
+		}()
 	} else if *resume {
 		fmt.Fprintln(os.Stderr, "dacrepro: -resume requires -cache-dir")
 		os.Exit(2)
@@ -125,11 +107,6 @@ func main() {
 		}
 		fmt.Printf("### %s\n\n", name)
 		f()
-	}
-
-	if err := fleet.Wait(); err != nil {
-		fmt.Fprintf(os.Stderr, "dacrepro: %v\n", err)
-		os.Exit(1)
 	}
 }
 

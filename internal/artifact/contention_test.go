@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-// The mailbox protocol in internal/dist trusts the store's publication to
-// be atomic across OS process boundaries: a reader polling a key either
-// misses it or reads one writer's complete bytes, never a torn mix. This
+// Concurrent processes may share one -cache-dir, so the store's publication
+// must be atomic across OS process boundaries: a reader polling a key
+// either misses it or reads one writer's complete bytes, never a torn mix. This
 // test pins that with real subprocesses — the test re-executes its own
 // binary in a helper mode where each of several processes hammers Put on
 // the same key with a distinct payload — and then checks the surviving

@@ -15,7 +15,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/attack"
 	"repro/internal/dataset"
-	"repro/internal/dist"
 	"repro/internal/img"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -102,20 +101,11 @@ type Config struct {
 	// results are bit-identical across thread counts.
 	Threads int
 	// Shards is the trainer's semantic data-parallel knob: gradient
-	// shards per batch (see train.Config.Shards). 0 defaults to 1, or to
-	// Dist.Procs() when a dist session is attached. Shards > 1 changes
-	// the result (shard-local batch-norm statistics, shard-order
-	// reduction) and therefore enters the train cache key; the process
-	// count never does.
+	// shards per batch (see train.Config.Shards). 0 defaults to 1. Shards
+	// > 1 changes the result (shard-local batch-norm statistics,
+	// shard-order reduction) and therefore enters the train cache key; the
+	// thread count never does.
 	Shards int
-	// Dist, when non-nil, runs the train stage across this session's
-	// process group: batches are sharded across ranks and gradient
-	// partials exchanged through the session's mailbox. Worker ranks
-	// (Dist.Worker()) run the pipeline only through the train stage —
-	// their role ends once the coordinator has the jointly trained model —
-	// and skip quantize/finetune/extract. Results are byte-identical to a
-	// single-process run with the same Shards.
-	Dist *dist.Session
 
 	// DecodeMean and DecodeStd are the domain pixel statistics the
 	// adversary's extraction moment-matches to. They are part of the
@@ -219,14 +209,8 @@ func Run(cfg Config) *Result {
 		cfg.Bits = 4
 	}
 	// Resolve the shard count up front so the cache key and the trainer
-	// agree on it: with a dist session the default is one shard per
-	// process, and single-process stays at the legacy whole-batch path.
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-		if cfg.Dist != nil {
-			cfg.Shards = cfg.Dist.Procs()
-		}
-	}
+	// agree on it.
+	cfg.Shards = max(cfg.Shards, 1)
 
 	var m *nn.Model
 	if cfg.Builder != nil {
@@ -251,12 +235,6 @@ func Run(cfg Config) *Result {
 	}
 	for _, st := range stages() {
 		p.exec(st)
-		if st.name == "train" && cfg.Dist != nil && cfg.Dist.Worker() {
-			// A worker's job ends with the jointly trained model: the
-			// downstream stages (quantize, finetune, extract) run only on
-			// the coordinator, whose process owns the run's outputs.
-			break
-		}
 	}
 	return p.res
 }

@@ -97,13 +97,10 @@ func stages() []*stage {
 }
 
 // exec runs one stage: key derivation, cache probe, compute, persist.
-// Keys are derived when a store is attached — and also for distributed
-// runs without one, because the train stage's key doubles as the run's
-// mailbox token (every rank derives it identically from the shared
-// configuration).
+// Keys are derived only when a store is attached.
 func (p *pipeline) exec(st *stage) {
 	var key string
-	if p.store != nil || p.cfg.Dist != nil {
+	if p.store != nil {
 		k := artifact.NewKey(st.name + "/v1")
 		for _, d := range st.deps {
 			dep, ok := p.keys[d]
@@ -310,10 +307,9 @@ func stageTrain() *stage {
 				Int("seed", p.cfg.Seed)
 			// Shards is semantic (shard-local batch-norm statistics,
 			// shard-order reduction), so it keys the artifact — but only
-			// when it departs from the legacy whole-batch path, so every
+			// when it departs from the whole-batch path, so every
 			// pre-existing cache entry keeps its key and warm runs still
-			// hit. The process count is deliberately absent, exactly like
-			// the thread count: results are bit-identical across both.
+			// hit.
 			if p.cfg.Shards > 1 {
 				k.Int("shards", int64(p.cfg.Shards))
 			}
@@ -327,7 +323,7 @@ func stageTrain() *stage {
 				Seed:      cfg.Seed, ClipNorm: cfg.ClipNorm,
 				Threads: cfg.Threads, Trace: cfg.Trace,
 				Reg:    regOrNil(p.reg),
-				Shards: cfg.Shards, Dist: cfg.Dist, DistToken: p.keys["train"],
+				Shards: cfg.Shards,
 			}
 			if cfg.Log != nil {
 				tcfg.Log = train.LogTo(cfg.Log)
@@ -338,11 +334,7 @@ func stageTrain() *stage {
 				if cfg.CheckpointEvery != 0 {
 					every = cfg.CheckpointEvery
 				}
-				// Only the coordinator writes mid-training checkpoints: the
-				// ranks' checkpoints would be byte-identical in model state
-				// but differ in timing stats, and one writer per key is the
-				// cleaner contract.
-				if every > 0 && !p.distWorker() {
+				if every > 0 {
 					tcfg.CheckpointEvery = every
 					tcfg.Checkpoint = func(ck *train.Checkpoint) {
 						err := p.store.Put("epoch-checkpoint", epochKey(key, ck.Epoch), func(w io.Writer) error {
@@ -354,9 +346,6 @@ func stageTrain() *stage {
 					}
 				}
 				if cfg.Resume {
-					// Every rank probes the shared store and finds the same
-					// checkpoint, so their resume cursors agree; the begin
-					// manifest's StartEpoch double-checks that.
 					if ck := p.probeEpochCheckpoint(key); ck != nil {
 						tcfg.Resume = ck
 						p.logf("cache: resuming training from epoch %d/%d", ck.Epoch, cfg.Epochs)
@@ -364,21 +353,8 @@ func stageTrain() *stage {
 				}
 			}
 			p.trainRes = train.Run(p.m, p.x, p.y, tcfg)
-			if p.trainRes.DistSkipped {
-				// This worker arrived at a run the coordinator satisfied
-				// from cache: nothing was exchanged, so load the published
-				// model state instead.
-				if p.store == nil {
-					panic("core: dist worker found a completed run but has no store to load it from")
-				}
-				if err := p.loadTrainedState(key); err != nil {
-					panic(fmt.Sprintf("core: dist worker loading completed run: %v", err))
-				}
-			}
 		},
-		load: func(p *pipeline, key string) error {
-			return p.loadTrainedState(key)
-		},
+		load: (*pipeline).loadTrainedState,
 		save: func(p *pipeline, key string) error {
 			ck := train.Capture(p.m, nil, p.cfg.Epochs, p.trainRes.Epochs)
 			return p.store.Put("model-state", key, func(w io.Writer) error {
@@ -386,29 +362,14 @@ func stageTrain() *stage {
 			})
 		},
 		after: func(p *pipeline) {
-			// The coordinator marks the run complete first thing — whether
-			// it trained or loaded from cache — so a worker polling
-			// AwaitBegin for a cache-satisfied run unblocks without
-			// waiting out the accuracy evaluation below.
-			if p.cfg.Dist != nil && p.cfg.Dist.Coordinator() {
-				if err := p.cfg.Dist.Complete(p.keys["train"]); err != nil {
-					p.logf("dist: publish completion marker: %v", err)
-				}
-			}
 			p.res.PreQuantTestAcc = p.m.Accuracy(p.tx, p.ty, 64)
 			p.logf("trained: test acc %.2f%%", 100*p.res.PreQuantTestAcc)
 		},
 	}
 }
 
-// distWorker reports whether this pipeline runs on a worker rank.
-func (p *pipeline) distWorker() bool {
-	return p.cfg.Dist != nil && p.cfg.Dist.Worker()
-}
-
 // loadTrainedState restores the train stage's published checkpoint from
-// the store — the cache-hit path, and a dist worker's fallback when the
-// coordinator satisfied the run from cache.
+// the store (the cache-hit path).
 func (p *pipeline) loadTrainedState(key string) error {
 	rc, err := p.store.Get("model-state", key)
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/artifact"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/obs"
 )
@@ -47,11 +46,6 @@ type Env struct {
 	// Resume, when true and Cache is set, lets interrupted training runs
 	// continue from their latest epoch checkpoint.
 	Resume bool
-	// Dist, when non-nil, trains every run across the session's process
-	// group (see core.Config.Dist). Coordinator and workers execute the
-	// same experiment sequence; because runs are issued deterministically,
-	// the ranks meet at each training run in order.
-	Dist *dist.Session
 	// Shards is the per-batch gradient shard count (see core.Config.Shards).
 	Shards int
 
@@ -86,7 +80,6 @@ func (e *Env) run(key string, cfg core.Config) *core.Result {
 	cfg.Trace = e.Trace
 	cfg.Cache = e.Cache
 	cfg.Resume = e.Resume
-	cfg.Dist = e.Dist
 	cfg.Shards = e.Shards
 	r := core.Run(cfg)
 	e.cache[key] = r
@@ -164,6 +157,9 @@ func (e *Env) faceModel(classes int) nn.ResNetConfig {
 	}
 }
 
+// BatchSize is the minibatch size every experiment trains at.
+const BatchSize = 32
+
 // groupBounds is the conv-index partition mirroring the paper's ResNet-34
 // grouping (early feature extractors / middle / payload-carrying tail).
 var groupBounds = core.CIFARRelease().GroupBounds
@@ -172,7 +168,7 @@ var groupBounds = core.CIFARRelease().GroupBounds
 func (e *Env) baseCfg(d *dataset.Dataset, model nn.ResNetConfig) core.Config {
 	return core.Config{
 		Data: d, ModelCfg: model, TestFrac: 0.2,
-		Epochs: e.epochs(), BatchSize: 32,
+		Epochs: e.epochs(), BatchSize: BatchSize,
 		LR: 0.05, Momentum: 0.9, ClipNorm: 5,
 		Seed: e.Seed, FineTuneEpochs: 3,
 		Threads: e.Threads,

@@ -132,16 +132,12 @@ func HarvestQueries(v Victim, cfg Config) (*Harvest, error) {
 }
 
 // Distill trains a fresh surrogate on the harvest by soft-label
-// distillation: the loss is cross-entropy against the victim's
-// distribution (which degrades gracefully to hard-label training when the
-// targets are one-hot). Reuses the train package's Adam optimizer; the
-// loop mirrors train.Run but takes distribution targets instead of integer
-// labels.
+// distillation: train.Run with Adam, its loss replaced by cross-entropy
+// against the victim's distribution (which degrades gracefully to
+// hard-label training when the targets are one-hot).
 func Distill(h *Harvest, cfg Config) *nn.Model {
 	cfg = cfg.withDefaults()
 	m := nn.NewResNet(cfg.Surrogate)
-	m.SetThreads(cfg.Threads)
-	defer m.ReleaseBuffers()
 	n := len(h.Inputs)
 	sample := len(h.Inputs[0])
 	classes := cfg.Surrogate.Classes
@@ -150,36 +146,21 @@ func Distill(h *Harvest, cfg Config) *nn.Model {
 	for i, in := range h.Inputs {
 		copy(xd[i*sample:(i+1)*sample], in)
 	}
-	bs := cfg.TrainBatch
-	if bs > n {
-		bs = n
-	}
-	opt := train.NewAdam(cfg.LR)
-	// Distillation shuffling gets its own stream (Seed+1) so it never
-	// aliases the query-synthesis stream.
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	bx := tensor.New(bs, sample)
-	bt := make([][]float64, bs)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for lo := 0; lo+bs <= n; lo += bs {
-			bd := bx.Data()
-			for i, src := range perm[lo : lo+bs] {
-				copy(bd[i*sample:(i+1)*sample], xd[src*sample:(src+1)*sample])
+	bt := make([][]float64, min(cfg.TrainBatch, n))
+	train.Run(m, x, nil, train.Config{
+		Epochs: cfg.Epochs, BatchSize: len(bt),
+		Optimizer: train.NewAdam(cfg.LR),
+		// Distillation shuffling gets its own stream (Seed+1) so it never
+		// aliases the query-synthesis stream.
+		Seed:    cfg.Seed + 1,
+		Threads: cfg.Threads,
+		Loss: func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor) {
+			for i, src := range idx {
 				bt[i] = h.Targets[src]
 			}
-			batch := bx.Reshape(append([]int{bs}, m.InputShape...)...)
-			m.ZeroGrad()
-			logits := m.ForwardTrain(batch)
-			_, grad := distillLoss(logits, bt, classes)
-			m.Backward(grad)
-			opt.Step(m.Params())
-		}
-	}
+			return distillLoss(logits, bt, classes)
+		},
+	})
 	return m
 }
 

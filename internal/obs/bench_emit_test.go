@@ -65,10 +65,10 @@ func forwardNsPerOp(m *nn.Model, x *tensor.Tensor, rounds int) float64 {
 	return best
 }
 
-// trainNsPerOp measures one sharded training run (Shards > 1, single
-// process) at the current obs.Enable state, minimum over rounds. Enabling
-// obs turns on the stage machine's per-step clock reads and the per-epoch
-// span recording — including the new exchange/reduce spans — so this pair
+// trainNsPerOp measures one sharded training run (Shards > 1) at the
+// current obs.Enable state, minimum over rounds. Enabling obs turns on the
+// stage machine's per-step clock reads and the per-epoch span recording —
+// including the reduce span — so this pair
 // of measurements guards the sharded trainer's instrumentation the same way
 // the forward-pass pair guards the layer instrumentation.
 func trainNsPerOp(rounds int) float64 {
@@ -179,8 +179,7 @@ type obsBenchReport struct {
 	ServeTracedNsPerOp float64 `json:"serve_traced_ns_per_op"`
 	ServeOverheadPct   float64 `json:"serve_overhead_pct"`
 	// Sharded-trainer measurement: one Shards=2 training run with the
-	// stage-machine timing (forward/backward/exchange/reduce spans) off vs
-	// on.
+	// stage-machine timing (forward/backward/reduce spans) off vs on.
 	TrainPlainNsPerOp float64 `json:"train_plain_ns_per_op"`
 	TrainTimedNsPerOp float64 `json:"train_timed_ns_per_op"`
 	TrainOverheadPct  float64 `json:"train_overhead_pct"`
@@ -216,7 +215,7 @@ func TestEmitObsBench(t *testing.T) {
 	api.EnableTracing(false)
 
 	// Sharded trainer: the stage machine's per-step timing and per-epoch
-	// exchange/reduce span recording turn on with obs.
+	// reduce span recording turn on with obs.
 	obs.Enable(false)
 	trainPlain := trainNsPerOp(rounds)
 	obs.Enable(true)

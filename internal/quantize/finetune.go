@@ -1,8 +1,6 @@
 package quantize
 
 import (
-	"math/rand"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -30,80 +28,78 @@ type FineTuneConfig struct {
 // averaged into its centroid, and centroids plus all non-quantized
 // parameters (biases, batch-norm affine) are updated with SGD. Weights are
 // re-materialized from centroids after every step, so the model remains
-// exactly `levels`-valued throughout.
+// exactly `levels`-valued throughout. The loop itself is train.Run, under
+// the model's current execution context, with the shared-weight update as
+// its optimizer.
 func FineTune(m *nn.Model, a *Applied, x *tensor.Tensor, y []int, cfg FineTuneConfig) {
 	if cfg.Epochs <= 0 {
 		return
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
 	if cfg.LR == 0 {
 		cfg.LR = 0.01
 	}
-	defer m.ReleaseBuffers()
-	n := x.Dim(0)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	quantized := make(map[*nn.Param]bool)
+	train.Run(m, x, y, train.Config{
+		Epochs: cfg.Epochs, BatchSize: cfg.BatchSize,
+		Optimizer: newSharedWeightSGD(a, cfg.LR),
+		Reg:       cfg.Reg, Seed: cfg.Seed,
+		Ctx: m.Ctx(),
+	})
+}
+
+// sharedWeightSGD is fine-tuning's optimizer. Each step averages every
+// cluster's member gradients into its centroid, rewrites the covered
+// weights from the updated codebooks, and applies plain SGD to the
+// parameters no codebook covers.
+type sharedWeightSGD struct {
+	lr        float64
+	a         *Applied
+	quantized map[*nn.Param]bool
+	// sums and counts are per-centroid scratch, sized for the largest
+	// codebook and reused by every unit on every step.
+	sums   []float64
+	counts []int
+}
+
+func newSharedWeightSGD(a *Applied, lr float64) *sharedWeightSGD {
+	o := &sharedWeightSGD{lr: lr, a: a, quantized: make(map[*nn.Param]bool)}
+	levels := 0
 	for _, u := range a.Units {
 		for _, p := range u.Params {
-			quantized[p] = true
+			o.quantized[p] = true
 		}
+		levels = max(levels, u.Book.NumLevels())
 	}
-	var free []*nn.Param
-	for _, p := range m.Params() {
-		if !quantized[p] {
-			free = append(free, p)
-		}
-	}
-	sample := x.Len() / n
-	bx := tensor.New(cfg.BatchSize, sample)
-	by := make([]int, cfg.BatchSize)
-	xd := x.Data()
+	o.sums = make([]float64, levels)
+	o.counts = make([]int, levels)
+	return o
+}
 
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		for lo := 0; lo+cfg.BatchSize <= n; lo += cfg.BatchSize {
-			bd := bx.Data()
-			for i, src := range perm[lo : lo+cfg.BatchSize] {
-				copy(bd[i*sample:(i+1)*sample], xd[src*sample:(src+1)*sample])
-				by[i] = y[src]
+func (o *sharedWeightSGD) SetLR(lr float64) { o.lr = lr }
+func (o *sharedWeightSGD) LR() float64      { return o.lr }
+
+func (o *sharedWeightSGD) Step(params []*nn.Param) {
+	for _, u := range o.a.Units {
+		k := u.Book.NumLevels()
+		sums, counts := o.sums[:k], o.counts[:k]
+		clear(sums)
+		clear(counts)
+		for pi, p := range u.Params {
+			gd := p.Grad.Data()
+			for i, c := range u.Assign[pi] {
+				sums[c] += gd[i]
+				counts[c]++
 			}
-			batch := bx.Reshape(append([]int{cfg.BatchSize}, m.InputShape...)...)
-			m.ZeroGrad()
-			logits := m.ForwardTrain(batch)
-			_, grad := nn.SoftmaxCrossEntropy(logits, by)
-			m.Backward(grad)
-			if cfg.Reg != nil {
-				cfg.Reg.Apply(m)
+		}
+		for c := 0; c < k; c++ {
+			if counts[c] > 0 {
+				u.Book.Levels[c] -= o.lr * sums[c] / float64(counts[c])
 			}
-			// Centroid update: mean gradient of each cluster's members.
-			for _, u := range a.Units {
-				k := u.Book.NumLevels()
-				sums := make([]float64, k)
-				counts := make([]int, k)
-				for pi, p := range u.Params {
-					gd := p.Grad.Data()
-					for i, c := range u.Assign[pi] {
-						sums[c] += gd[i]
-						counts[c]++
-					}
-				}
-				for c := 0; c < k; c++ {
-					if counts[c] > 0 {
-						u.Book.Levels[c] -= cfg.LR * sums[c] / float64(counts[c])
-					}
-				}
-			}
-			a.Rewrite()
-			// Free parameters get plain SGD.
-			for _, p := range free {
-				p.Value.AddScaled(-cfg.LR, p.Grad)
-			}
+		}
+	}
+	o.a.Rewrite()
+	for _, p := range params {
+		if !o.quantized[p] {
+			p.Value.AddScaled(-o.lr, p.Grad)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 // TestResumeBitIdenticalToUninterrupted pins the checkpoint/resume
@@ -147,7 +149,7 @@ func captureSmall(t *testing.T) *Checkpoint {
 	return Capture(m, opt, 1, res.Epochs)
 }
 
-func encodeCk(t *testing.T, ck *Checkpoint) []byte {
+func encodeCk(t testing.TB, ck *Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeCheckpoint(&buf, ck); err != nil {
@@ -230,6 +232,35 @@ func TestCheckpointDecodeFlippedByteFails(t *testing.T) {
 			t.Fatalf("flip at %d: nil checkpoint without error", off)
 		}
 	}
+}
+
+// FuzzDecodeCheckpoint feeds DecodeCheckpoint arbitrary bytes. Checkpoints
+// come back from a cache directory other processes write to, so the
+// decoder must return an error, never panic, whatever it reads; a stream
+// it accepts must survive a re-encode round trip. The seeds are a small
+// MLP's Adam checkpoint (a few KB: mutating the conv checkpoints above
+// would be slow) and its prefixes; testdata/fuzz holds the same.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	x, y := twoBlobs(16, 10)
+	m := nn.NewMLP("m", 2, []int{3}, 2, 16)
+	opt := NewAdam(0.01)
+	res := Run(m, x, y, Config{Epochs: 1, BatchSize: 8, Optimizer: opt, Seed: 3})
+	raw := encodeCk(f, Capture(m, opt, 1, res.Epochs))
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeCheckpoint(&buf, ck); err != nil {
+			t.Fatalf("decoded checkpoint does not re-encode: %v", err)
+		}
+		if _, err := DecodeCheckpoint(&buf); err != nil {
+			t.Fatalf("re-encoded checkpoint does not decode: %v", err)
+		}
+	})
 }
 
 func TestCheckpointRestoreRejectsMismatch(t *testing.T) {

@@ -271,3 +271,62 @@ func TestDeterministicTraining(t *testing.T) {
 		}
 	}
 }
+
+// TestLossHookMatchesDefaultLoss pins Config.Loss's wiring: a hook that
+// recomputes the default cross-entropy from the batch's sample indices,
+// with y left nil, must train bit-identically to the default path.
+func TestLossHookMatchesDefaultLoss(t *testing.T) {
+	x, y, build := convProblem()
+	runOne := func(hook bool) []float64 {
+		m := build()
+		cfg := Config{Epochs: 2, BatchSize: 8, Optimizer: NewSGD(0.05, 0.9, 0), Seed: 25}
+		labels := y
+		if hook {
+			by := make([]int, cfg.BatchSize)
+			cfg.Loss = func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor) {
+				for i, src := range idx {
+					by[i] = y[src]
+				}
+				return nn.SoftmaxCrossEntropy(logits, by[:len(idx)])
+			}
+			labels = nil
+		}
+		Run(m, x, labels, cfg)
+		var flat []float64
+		for _, p := range m.Params() {
+			flat = append(flat, p.Value.Data()...)
+		}
+		return flat
+	}
+	want, got := runOne(false), runOne(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("weight[%d]: %v with Loss hook, %v without", i, got[i], want[i])
+		}
+	}
+}
+
+func TestRunNilLabelsWithoutLossPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	x, _ := twoBlobs(16, 10)
+	Run(nn.NewMLP("m", 2, nil, 2, 16), x, nil, Config{Epochs: 1, Optimizer: NewSGD(0.1, 0, 0)})
+}
+
+func TestLossWithShardsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	x, y := twoBlobs(16, 10)
+	Run(nn.NewMLP("m", 2, nil, 2, 16), x, y, Config{
+		Epochs: 1, BatchSize: 8, Shards: 2, Optimizer: NewSGD(0.1, 0, 0),
+		Loss: func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor) {
+			return 0, tensor.New(logits.Shape()...)
+		},
+	})
+}

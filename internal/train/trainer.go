@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/compute"
-	"repro/internal/dist"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -54,30 +52,24 @@ type Config struct {
 	// the layer contract reduces per-sample gradients in fixed sample
 	// order — so the knob trades wall-clock only, never reproducibility.
 	Threads int
-	// Ctx, when non-nil, overrides Threads with a private execution
-	// context. Multi-rank tests that run several trainers concurrently in
-	// one process need this: the shared contexts Threads selects allow
-	// only one driver at a time.
+	// Ctx, when non-nil, overrides Threads with this execution context.
+	// quantize.FineTune passes the model's current context so fine-tuning
+	// keeps whatever context training or the caller installed.
 	Ctx *compute.Ctx
 	// Shards is the semantic data-parallel knob: each batch's gradient is
 	// computed as Shards independent contiguous shard partials (batch norm
 	// sees shard-local statistics, like gradient accumulation) and reduced
 	// in ascending shard order. Results depend on Shards but are
-	// byte-identical for every (threads × processes) execution shape that
-	// computes them. 0 defaults to 1 — the legacy whole-batch path — or to
-	// Dist.Procs() when a dist session is attached. Must be ≥ the process
-	// count and ≤ BatchSize.
+	// byte-identical for every thread count. 0 defaults to 1, the
+	// whole-batch path. Must be ≤ BatchSize.
 	Shards int
-	// Dist, when non-nil, runs the step machine's exchange stage over the
-	// session's mailbox: this rank computes only its owned shard range and
-	// fetches the rest from its peers. All ranks of a run must pass
-	// configurations that agree on everything above (enforced via the
-	// coordinator's begin manifest).
-	Dist *dist.Session
-	// DistToken identifies this run in the mailbox. Every rank must derive
-	// the same token; the pipeline passes its train-stage cache key. Empty
-	// derives a token from the run's configuration.
-	DistToken string
+	// Loss, when non-nil, replaces the default softmax cross-entropy
+	// against y: it receives the batch's logits and the batch's sample
+	// indices into x, and returns the batch-mean loss and its gradient with
+	// respect to the logits. Distillation uses it to train against soft
+	// targets; y may then be nil. Only the whole-batch path supports it
+	// (Shards ≤ 1).
+	Loss func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor)
 	// Log, when non-nil, receives each epoch's statistics. Use LogTo for
 	// the default one-line stdout formatter.
 	Log func(EpochStats)
@@ -122,12 +114,14 @@ type EpochStats struct {
 	// timing is on (Config.Trace set or obs enabled) and zero otherwise,
 	// so the hot loop pays no clock reads by default.
 	Forward, Backward, Reg, Optim time.Duration
-	// Exchange and Reduce are the sharded path's phases: Exchange is the
-	// mailbox publish + peer-wait time (zero without a dist session) and
-	// Reduce is the shard-order gradient fold + batch-norm replay. They
-	// are accounted separately so Backward measures compute only — before
-	// the stage-machine split, everything after forward landed in
-	// Backward.
+	// Reduce is the sharded path's shard-order gradient fold plus
+	// batch-norm replay, accounted separately so Backward measures compute
+	// only.
+	//
+	// Exchange is always zero. It timed the removed multi-process
+	// trainer's partial exchange and stays only because EpochStats is
+	// gob-encoded inside every DACCKP1 checkpoint: dropping the field
+	// would change every checkpoint's bytes and every pinned digest.
 	Exchange, Reduce time.Duration
 	// GroupCorr is the per-group correlation reported by the regularizer
 	// after the epoch's last step (nil unless the regularizer exposes
@@ -146,12 +140,6 @@ func LogTo(w io.Writer) func(EpochStats) {
 // Result summarizes a training run.
 type Result struct {
 	Epochs []EpochStats
-	// DistSkipped reports that a worker rank found the run's completion
-	// marker instead of its begin announcement: the coordinator satisfied
-	// the run from cache, nothing was trained here, and the model was left
-	// untouched. The caller (the pipeline's train stage) loads the
-	// published model state instead.
-	DistSkipped bool
 }
 
 // FinalLoss returns the last epoch's data loss (0 if no epochs ran).
@@ -164,14 +152,13 @@ func (r Result) FinalLoss() float64 {
 
 // Run trains m on inputs x (N, ...) with labels y under cfg. Each epoch is
 // driven through an explicit per-step stage machine (see stepMachine):
-// shard → forward/backward partials → exchange → global reduce → optimizer
-// step. With Shards == 1 (the default) the machine collapses to the
-// whole-batch path, byte-identical to the pre-refactor trainer; with
-// Shards > 1 the result is byte-identical for every (threads × processes)
-// execution shape that computes the same shards.
+// shard → forward/backward partials → global reduce → optimizer step.
+// With Shards == 1 (the default) the machine collapses to the whole-batch
+// path; with Shards > 1 the result is byte-identical for every thread
+// count. y may be nil when cfg.Loss is set.
 func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	n := x.Dim(0)
-	if len(y) != n {
+	if len(y) != n && (cfg.Loss == nil || y != nil) {
 		panic(fmt.Sprintf("train: %d labels for %d samples", len(y), n))
 	}
 	if cfg.BatchSize <= 0 {
@@ -180,18 +167,12 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	if cfg.Optimizer == nil {
 		panic("train: Config.Optimizer is required")
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-		if cfg.Dist != nil {
-			shards = cfg.Dist.Procs()
-		}
-	}
+	shards := max(cfg.Shards, 1)
 	if shards > cfg.BatchSize {
 		panic(fmt.Sprintf("train: %d shards over batch size %d (every shard needs at least one sample)", shards, cfg.BatchSize))
 	}
-	if cfg.Dist != nil && cfg.Dist.Procs() > shards {
-		panic(fmt.Sprintf("train: %d processes but only %d shards (procs must be <= shards)", cfg.Dist.Procs(), shards))
+	if cfg.Loss != nil && shards > 1 {
+		panic("train: Config.Loss supports only the whole-batch path (Shards <= 1)")
 	}
 	if cfg.Ctx != nil {
 		m.SetCtx(cfg.Ctx)
@@ -222,36 +203,7 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 		}
 	}
 
-	stepsPerEpoch := n / cfg.BatchSize
-	token := cfg.DistToken
-	if token == "" && cfg.Dist != nil {
-		token = deriveToken(m, &cfg, n, shards)
-	}
-	if cfg.Dist != nil {
-		man := dist.Manifest{
-			Token: token, Procs: cfg.Dist.Procs(), Shards: shards,
-			BatchSize: cfg.BatchSize, Steps: stepsPerEpoch,
-			Epochs: cfg.Epochs, StartEpoch: start, ParamCount: m.NumParams(),
-		}
-		if cfg.Dist.Worker() {
-			got, completed, err := cfg.Dist.AwaitBegin(token)
-			if err != nil {
-				panic(fmt.Sprintf("train: %v", err))
-			}
-			if completed {
-				// The coordinator satisfied this run from cache; there is
-				// nothing to exchange. The caller loads the published state.
-				return Result{DistSkipped: true}
-			}
-			if got != man {
-				panic(fmt.Sprintf("train: dist manifest mismatch: coordinator announced %+v, this rank derived %+v", got, man))
-			}
-		} else if err := cfg.Dist.Begin(man); err != nil {
-			panic(fmt.Sprintf("train: %v", err))
-		}
-	}
-
-	sm := newStepMachine(m, x, y, cfg.BatchSize, shards, cfg.Dist, token)
+	sm := newStepMachine(m, x, y, cfg.BatchSize, shards, cfg.Loss)
 	defer sm.close()
 
 	for epoch := start; epoch < cfg.Epochs; epoch++ {
@@ -271,7 +223,7 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 		}
 		steps := 0
 		for lo := 0; lo+cfg.BatchSize <= n; lo += cfg.BatchSize {
-			loss := sm.step(epoch, steps, perm[lo:lo+cfg.BatchSize])
+			loss := sm.step(perm[lo : lo+cfg.BatchSize])
 
 			var t0 time.Time
 			if timed {
@@ -304,7 +256,7 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 			LR: cfg.Optimizer.LR(), Steps: steps,
 			Reg: tReg, Optim: tOptim,
 		}
-		st.Forward, st.Backward, st.Exchange, st.Reduce = sm.drainTimings()
+		st.Forward, st.Backward, st.Reduce = sm.drainTimings()
 		if gc, ok := cfg.Reg.(groupCorrelated); ok {
 			st.GroupCorr = gc.Correlations()
 		}
@@ -323,24 +275,6 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	return res
 }
 
-// deriveToken builds a mailbox token for runs without a pipeline cache key:
-// a digest of everything that positions the run's exchange traffic. Every
-// rank of a run derives it from the same configuration, so they meet at the
-// same mailbox keys.
-func deriveToken(m *nn.Model, cfg *Config, n, shards int) string {
-	k := artifact.NewKey("dist-token/v1").
-		Int("seed", cfg.Seed).
-		Int("epochs", int64(cfg.Epochs)).
-		Int("batch", int64(cfg.BatchSize)).
-		Int("shards", int64(shards)).
-		Int("samples", int64(n)).
-		Int("params", int64(m.NumParams()))
-	for _, p := range m.Params() {
-		k.Str("param", p.Name)
-	}
-	return k.Sum()
-}
-
 // recordEpoch folds one epoch's accumulated phase timings into the span
 // tree and the shared metrics registry. Called once per epoch, off the
 // step-granularity hot path.
@@ -349,9 +283,6 @@ func recordEpoch(tr *obs.Tracer, st EpochStats, epochWall time.Duration) {
 	tr.Add("train/epoch", epochWall, 1)
 	tr.Add("train/epoch/forward", st.Forward, steps)
 	tr.Add("train/epoch/backward", st.Backward, steps)
-	if st.Exchange > 0 {
-		tr.Add("train/epoch/exchange", st.Exchange, steps)
-	}
 	if st.Reduce > 0 {
 		tr.Add("train/epoch/reduce", st.Reduce, steps)
 	}
@@ -371,13 +302,16 @@ func recordEpoch(tr *obs.Tracer, st EpochStats, epochWall time.Duration) {
 	}
 }
 
-// gather copies the permuted samples into the batch buffers.
+// gather copies the permuted samples (and their labels, when y is
+// non-nil) into the batch buffers.
 func gather(bx *tensor.Tensor, by []int, x *tensor.Tensor, y []int, idx []int) {
 	sample := bx.Dim(1)
 	xd, bd := x.Data(), bx.Data()
 	for i, src := range idx {
 		copy(bd[i*sample:(i+1)*sample], xd[src*sample:(src+1)*sample])
-		by[i] = y[src]
+		if y != nil {
+			by[i] = y[src]
+		}
 	}
 }
 
