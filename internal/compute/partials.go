@@ -7,10 +7,9 @@ import "fmt"
 // (typically a flattened gradient); Fold adds the partials into a
 // destination in ascending shard-index order, which makes the reduction a
 // pure function of the partials' contents and their index — the property
-// the distributed trainer's bit-identity contract rests on: every
-// (threads × processes) shape computes the same shard partials and folds
-// them in the same order, so the folded result is byte-identical
-// everywhere.
+// the sharded trainer's bit-identity contract rests on: every thread count
+// computes the same shard partials and folds them in the same order, so
+// the folded result is byte-identical everywhere.
 type PartialSet struct {
 	size  int
 	parts [][]float64
@@ -31,11 +30,8 @@ func NewPartialSet(n, size int) *PartialSet {
 // N returns the number of partials.
 func (s *PartialSet) N() int { return len(s.parts) }
 
-// Size returns the length of each partial buffer.
-func (s *PartialSet) Size() int { return s.size }
-
 // Partial returns the i-th partial buffer. Callers write into it directly
-// (snapshotting a local gradient) or copy a received remote partial in.
+// (snapshotting a shard's gradient).
 func (s *PartialSet) Partial(i int) []float64 { return s.parts[i] }
 
 // Zero clears every partial buffer.
@@ -50,8 +46,7 @@ func (s *PartialSet) Zero() {
 // Fold accumulates every partial into dst in ascending index order:
 // dst[j] += parts[0][j]; dst[j] += parts[1][j]; ... — a fixed left fold,
 // never a tree or racing accumulation, so the float rounding is identical
-// on every run regardless of which process or goroutine produced each
-// partial.
+// on every run regardless of which goroutine produced each partial.
 func (s *PartialSet) Fold(dst []float64) {
 	if len(dst) != s.size {
 		panic(fmt.Sprintf("compute: Fold destination has %d elements, partials have %d", len(dst), s.size))

@@ -120,10 +120,9 @@ func (d *Dataset) Gray() *Dataset {
 // maximally balanced shards of a length-total sequence: shard i covers
 // [i*total/n, (i+1)*total/n). The shards partition the sequence exactly —
 // concatenating them in shard order reproduces it — and every shard's size
-// is ⌊total/n⌋ or ⌈total/n⌉. The data-parallel trainer uses this both to
-// split each batch's permutation slice into gradient shards and to assign
-// contiguous shard ranges to ranks, so shard boundaries are a pure function
-// of (total, n) and identical on every process.
+// is ⌊total/n⌋ or ⌈total/n⌉. The sharded trainer uses this to split each
+// batch's permutation slice into gradient shards, so shard boundaries are
+// a pure function of (total, n).
 func Shard(total, i, n int) (lo, hi int) {
 	if n <= 0 || i < 0 || i >= n {
 		panic(fmt.Sprintf("dataset: Shard(%d, %d, %d)", total, i, n))

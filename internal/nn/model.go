@@ -106,8 +106,8 @@ func (m *Model) ZeroGrad() {
 }
 
 // ReadGrads flattens every parameter gradient into dst, in parameter order.
-// dst must have NumParams elements. The data-parallel trainer snapshots a
-// shard's accumulated gradient into an exchange buffer with this.
+// dst must have NumParams elements. The sharded trainer snapshots a
+// shard's accumulated gradient into its partial buffer with this.
 func (m *Model) ReadGrads(dst []float64) {
 	off := 0
 	for _, p := range m.params {
@@ -118,11 +118,11 @@ func (m *Model) ReadGrads(dst []float64) {
 	}
 }
 
-// AddGrads accumulates a flat gradient vector (as produced by ReadGrads,
-// possibly on another process) into the parameter gradients, in parameter
-// order. Folding shard partials with repeated AddGrads calls in ascending
-// shard order is the trainer's canonical reduction: a fixed left fold whose
-// float rounding is identical no matter which rank produced each partial.
+// AddGrads accumulates a flat gradient vector (as produced by ReadGrads)
+// into the parameter gradients, in parameter order. Folding shard partials
+// with repeated AddGrads calls in ascending shard order is the trainer's
+// canonical reduction: a fixed left fold whose float rounding does not
+// depend on how the partials were computed.
 func (m *Model) AddGrads(src []float64) {
 	off := 0
 	for _, p := range m.params {

@@ -29,10 +29,10 @@ type BatchNorm2D struct {
 
 	// DeferStats, when set, makes the training forward pass compute and
 	// record the batch moments (BatchStats) without folding them into
-	// RunMean/RunVar. The data-parallel trainer uses this to make the
+	// RunMean/RunVar. The sharded trainer uses this to make the
 	// running-statistics update a separate, ordered reduction step: each
-	// shard's moments are captured here, exchanged, and replayed in shard
-	// order via ApplyBatchStats on every rank. Deferral is exact because
+	// shard's moments are captured here and replayed in shard order via
+	// ApplyBatchStats. Deferral is exact because
 	// the training forward normalizes with batch statistics only — the
 	// running statistics are read at inference time, never mid-epoch.
 	DeferStats bool
@@ -201,10 +201,9 @@ func (b *BatchNorm2D) BatchStats() (mu, va []float64) { return b.lastMu, b.lastV
 
 // ApplyBatchStats folds one batch's moments into the running statistics
 // with the layer's momentum — exactly the update the training forward
-// performs when DeferStats is off. The data-parallel trainer calls this
-// once per shard, in shard order, on every rank, so the EMA sequence (and
-// therefore RunMean/RunVar, bit for bit) is independent of which process
-// computed which shard.
+// performs when DeferStats is off. The sharded trainer calls this once per
+// shard, in shard order, so the EMA sequence (and therefore
+// RunMean/RunVar, bit for bit) is a function of the shards alone.
 func (b *BatchNorm2D) ApplyBatchStats(mu, va []float64) {
 	if len(mu) != b.C || len(va) != b.C {
 		panic(fmt.Sprintf("nn: ApplyBatchStats got %d/%d channels, layer has %d", len(mu), len(va), b.C))
