@@ -60,11 +60,14 @@ gateway-bench:
 extract-bench:
 	go test ./internal/extract/ -run '^TestEmitExtractBench$$' -count=1 -v -timeout 30m -args -emit-bench=$(CURDIR)/BENCH_extract.json
 
-# Short fuzz run of the training-checkpoint decoder over hostile bytes
-# (seed corpus in internal/train/testdata/fuzz). Minimization is capped so
-# a new coverage input does not stall the run for a minute.
-fuzz-checkpoint:
+# Short fuzz runs of the two decoders that read files other processes
+# wrote: training checkpoints (FuzzDecodeCheckpoint) and released models,
+# decoded then imported (FuzzRead). Seed corpora live in each package's
+# testdata/fuzz. Minimization is capped so a new coverage input does not
+# stall a run for a minute.
+fuzz:
 	go test ./internal/train/ -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 30s -fuzzminimizetime 100x
+	go test ./internal/modelio/ -run '^$$' -fuzz '^FuzzRead$$' -fuzztime 30s -fuzzminimizetime 100x
 
 # Observability overhead guard: instrumented-vs-uninstrumented forward pass
 # written to BENCH_obs.json; fails if enabling obs costs more than 2%.
@@ -78,4 +81,4 @@ obs-bench:
 pipeline-bench:
 	go test ./internal/experiments/ -run '^TestEmitPipelineBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_pipeline.json
 
-.PHONY: check race race-fast vet bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench fuzz-checkpoint
+.PHONY: check race race-fast vet bench serve-bench kernels-bench serve-quant-bench gateway-bench obs-bench pipeline-bench extract-bench fuzz

@@ -32,10 +32,6 @@ import (
 	"repro/internal/serve"
 )
 
-// batchSize is the release training's minibatch size; -shards may not
-// exceed it.
-const batchSize = 32
-
 func main() {
 	modelPath := flag.String("model", "released.bin", "output model file")
 	storeDir := flag.String("store", "", "artifact store to also publish the release into, keyed by content digest (dacserve replicas pull it with -pull / :load)")
@@ -50,12 +46,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a phase-span timing report to this file at exit (\"-\" for stderr)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store; stages with cached results are skipped across invocations")
 	resume := flag.Bool("resume", false, "with -cache-dir: continue an interrupted training run from its latest epoch checkpoint")
-	shards := flag.Int("shards", 0, fmt.Sprintf("gradient shards per batch, a semantic knob results depend on (0 = 1; at most the batch size %d)", batchSize))
 	flag.Parse()
-	if *shards < 0 || *shards > batchSize {
-		fmt.Fprintf(os.Stderr, "dacrelease: -shards %d outside [0, %d] (every shard needs at least one sample of the batch)\n", *shards, batchSize)
-		os.Exit(2)
-	}
 
 	var tracer *obs.Tracer
 	if *traceOut != "" {
@@ -83,13 +74,12 @@ func main() {
 		GroupBounds: preset.GroupBounds,
 		Lambdas:     preset.Lambdas(*lambda),
 		WindowLen:   preset.WindowLen,
-		Epochs:      *epochs, BatchSize: batchSize, LR: 0.05, Momentum: 0.9, ClipNorm: 5,
+		Epochs:      *epochs, BatchSize: 32, LR: 0.05, Momentum: 0.9, ClipNorm: 5,
 		Quant: core.QuantTargetCorrelated, Bits: *bits,
 		FineTuneEpochs: 3, KeepRegDuringFineTune: true,
 		Seed: *seed, Log: os.Stderr,
 		Threads: *threads, Trace: tracer,
 		Cache: store, Resume: *resume,
-		Shards: *shards,
 	})
 
 	rm, err := modelio.Export(res.Model, arch, res.Applied)

@@ -27,7 +27,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write a phase-span timing report to this file at exit (\"-\" for stderr)")
 	cacheDir := flag.String("cache-dir", "", "persistent artifact store; stages with cached results are skipped across invocations")
 	resume := flag.Bool("resume", false, "with -cache-dir: continue interrupted training runs from their latest epoch checkpoint")
-	shards := flag.Int("shards", 0, fmt.Sprintf("gradient shards per batch, a semantic knob results depend on (0 = 1; at most the batch size %d)", experiments.BatchSize))
 	flag.Parse()
 
 	args := flag.Args()
@@ -37,14 +36,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *shards < 0 || *shards > experiments.BatchSize {
-		fmt.Fprintf(os.Stderr, "dacrepro: -shards %d outside [0, %d] (every shard needs at least one sample of the batch)\n", *shards, experiments.BatchSize)
-		os.Exit(2)
-	}
-
 	env := experiments.NewEnv(*seed, *quick, os.Stdout)
 	env.Threads = *threads
-	env.Shards = *shards
 	if *cacheDir != "" {
 		store, err := artifact.Open(*cacheDir)
 		if err != nil {

@@ -100,12 +100,6 @@ type Config struct {
 	// runs under. 0 selects runtime.GOMAXPROCS; 1 forces serial. All
 	// results are bit-identical across thread counts.
 	Threads int
-	// Shards is the trainer's semantic data-parallel knob: gradient
-	// shards per batch (see train.Config.Shards). 0 defaults to 1. Shards
-	// > 1 changes the result (shard-local batch-norm statistics,
-	// shard-order reduction) and therefore enters the train cache key; the
-	// thread count never does.
-	Shards int
 
 	// DecodeMean and DecodeStd are the domain pixel statistics the
 	// adversary's extraction moment-matches to. They are part of the
@@ -208,9 +202,6 @@ func Run(cfg Config) *Result {
 	if cfg.Bits == 0 {
 		cfg.Bits = 4
 	}
-	// Resolve the shard count up front so the cache key and the trainer
-	// agree on it.
-	cfg.Shards = max(cfg.Shards, 1)
 
 	var m *nn.Model
 	if cfg.Builder != nil {

@@ -305,14 +305,6 @@ func stageTrain() *stage {
 				Float("momentum", p.cfg.Momentum).
 				Float("clipnorm", p.cfg.ClipNorm).
 				Int("seed", p.cfg.Seed)
-			// Shards is semantic (shard-local batch-norm statistics,
-			// shard-order reduction), so it keys the artifact — but only
-			// when it departs from the whole-batch path, so every
-			// pre-existing cache entry keeps its key and warm runs still
-			// hit.
-			if p.cfg.Shards > 1 {
-				k.Int("shards", int64(p.cfg.Shards))
-			}
 		},
 		run: func(p *pipeline) {
 			cfg := p.cfg
@@ -322,8 +314,7 @@ func stageTrain() *stage {
 				Schedule:  train.StepDecay(cfg.LR, max(cfg.Epochs/3, 1), 0.3),
 				Seed:      cfg.Seed, ClipNorm: cfg.ClipNorm,
 				Threads: cfg.Threads, Trace: cfg.Trace,
-				Reg:    regOrNil(p.reg),
-				Shards: cfg.Shards,
+				Reg: regOrNil(p.reg),
 			}
 			if cfg.Log != nil {
 				tcfg.Log = train.LogTo(cfg.Log)

@@ -116,20 +116,6 @@ func (d *Dataset) Gray() *Dataset {
 	return out
 }
 
-// Shard returns the bounds [lo, hi) of the i-th of n contiguous,
-// maximally balanced shards of a length-total sequence: shard i covers
-// [i*total/n, (i+1)*total/n). The shards partition the sequence exactly —
-// concatenating them in shard order reproduces it — and every shard's size
-// is ⌊total/n⌋ or ⌈total/n⌉. The sharded trainer uses this to split each
-// batch's permutation slice into gradient shards, so shard boundaries are
-// a pure function of (total, n).
-func Shard(total, i, n int) (lo, hi int) {
-	if n <= 0 || i < 0 || i >= n {
-		panic(fmt.Sprintf("dataset: Shard(%d, %d, %d)", total, i, n))
-	}
-	return i * total / n, (i + 1) * total / n
-}
-
 // Subset returns a new dataset containing the samples at idx, sharing image
 // storage with d.
 func (d *Dataset) Subset(idx []int) *Dataset {

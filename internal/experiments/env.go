@@ -46,8 +46,6 @@ type Env struct {
 	// Resume, when true and Cache is set, lets interrupted training runs
 	// continue from their latest epoch checkpoint.
 	Resume bool
-	// Shards is the per-batch gradient shard count (see core.Config.Shards).
-	Shards int
 
 	cache map[string]*core.Result
 	data  map[string]*dataset.Dataset
@@ -80,7 +78,6 @@ func (e *Env) run(key string, cfg core.Config) *core.Result {
 	cfg.Trace = e.Trace
 	cfg.Cache = e.Cache
 	cfg.Resume = e.Resume
-	cfg.Shards = e.Shards
 	r := core.Run(cfg)
 	e.cache[key] = r
 	return r
@@ -157,9 +154,6 @@ func (e *Env) faceModel(classes int) nn.ResNetConfig {
 	}
 }
 
-// BatchSize is the minibatch size every experiment trains at.
-const BatchSize = 32
-
 // groupBounds is the conv-index partition mirroring the paper's ResNet-34
 // grouping (early feature extractors / middle / payload-carrying tail).
 var groupBounds = core.CIFARRelease().GroupBounds
@@ -168,7 +162,7 @@ var groupBounds = core.CIFARRelease().GroupBounds
 func (e *Env) baseCfg(d *dataset.Dataset, model nn.ResNetConfig) core.Config {
 	return core.Config{
 		Data: d, ModelCfg: model, TestFrac: 0.2,
-		Epochs: e.epochs(), BatchSize: BatchSize,
+		Epochs: e.epochs(), BatchSize: 32,
 		LR: 0.05, Momentum: 0.9, ClipNorm: 5,
 		Seed: e.Seed, FineTuneEpochs: 3,
 		Threads: e.Threads,

@@ -227,10 +227,21 @@ func ReadWithDigest(r io.Reader) (*ReleasedModel, string, error) {
 	return rm, hex.EncodeToString(sum[:]), nil
 }
 
+// maxArchParams bounds the parameter count a file's Arch may describe, and
+// also its per-sample input length. Import builds the whole network from
+// Arch before it reads a weight, so without the bound a few hostile header
+// bytes could make it allocate without limit. It sits far above every
+// architecture the repo trains (about a hundred thousand parameters at
+// most).
+const maxArchParams = 1 << 22
+
 // validate checks the structural invariants a well-formed ReleasedModel
 // satisfies, so a corrupted file fails with a descriptive error instead of
 // an index panic in Import.
 func validate(rm *ReleasedModel) error {
+	if err := validateArch(rm.Arch); err != nil {
+		return err
+	}
 	for _, b := range rm.Dense {
 		n := 1
 		for _, d := range b.Shape {
@@ -255,6 +266,43 @@ func validate(rm *ReleasedModel) error {
 		if len(bn.RunMean) != len(bn.RunVar) {
 			return fmt.Errorf("modelio: batch-norm %q has %d means but %d variances", bn.Name, len(bn.RunMean), len(bn.RunVar))
 		}
+	}
+	return nil
+}
+
+// validateArch checks that nn.NewResNet can build the architecture (Import
+// rebuilds the network from it): positive dimensions, one block count per
+// stage, and at most maxArchParams parameters and input values per sample.
+// The parameter count is an upper bound (every block is charged a
+// projection shortcut), taken in float64 so no header value can overflow
+// it.
+func validateArch(a nn.ResNetConfig) error {
+	if a.InC <= 0 || a.InH <= 0 || a.InW <= 0 || a.Classes <= 0 {
+		return fmt.Errorf("modelio: architecture input %dx%dx%d with %d classes: dimensions must be positive", a.InC, a.InH, a.InW, a.Classes)
+	}
+	if float64(a.InC)*float64(a.InH)*float64(a.InW) > maxArchParams {
+		return fmt.Errorf("modelio: architecture input %dx%dx%d has more than %d values", a.InC, a.InH, a.InW, maxArchParams)
+	}
+	if len(a.Widths) == 0 || len(a.Widths) != len(a.Blocks) {
+		return fmt.Errorf("modelio: architecture has %d stage widths and %d block counts (want equal, at least one)", len(a.Widths), len(a.Blocks))
+	}
+	c := float64(a.Widths[0])
+	n := 9*float64(a.InC)*c + 3*c // stem conv and its batch norm
+	for i, wi := range a.Widths {
+		if wi <= 0 || a.Blocks[i] < 0 {
+			return fmt.Errorf("modelio: architecture stage %d has width %d and %d blocks (want width > 0, blocks >= 0)", i, wi, a.Blocks[i])
+		}
+		if a.Blocks[i] == 0 {
+			continue
+		}
+		// Two 3×3 convs and a 1×1 projection, each with bias and batch norm.
+		w := float64(wi)
+		n += 9*c*w + 9*w*w + c*w + 9*w + float64(a.Blocks[i]-1)*(19*w*w+9*w)
+		c = w
+	}
+	n += (c + 1) * float64(a.Classes)
+	if n > maxArchParams {
+		return fmt.Errorf("modelio: architecture has more than %d parameters", maxArchParams)
 	}
 	return nil
 }

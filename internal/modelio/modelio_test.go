@@ -3,6 +3,7 @@ package modelio
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"io"
@@ -287,6 +288,98 @@ func TestReadRejectsEmptyCodebook(t *testing.T) {
 	if err := validate(rm); err == nil {
 		t.Fatal("expected empty-codebook error")
 	}
+}
+
+// writeUnchecked encodes rm the way Write does but without validate, so
+// tests can build the files a hostile writer could.
+func writeUnchecked(t testing.TB, rm *ReleasedModel) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	if err := gob.NewEncoder(&buf).Encode(rm); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsHostileArch covers files whose architecture header
+// nn.NewResNet cannot build, or only with an unbounded allocation. Read
+// must reject each one: the first three made Import panic, and a serving
+// replica loads every file in its -models directory.
+func TestReadRejectsHostileArch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(a *nn.ResNetConfig)
+	}{
+		{"negative width", func(a *nn.ResNetConfig) { a.Widths, a.Blocks = []int{-4}, []int{1} }},
+		{"nil widths", func(a *nn.ResNetConfig) { a.Widths, a.Blocks = nil, nil }},
+		{"widths and blocks differ in length", func(a *nn.ResNetConfig) { a.Widths, a.Blocks = []int{4, 8}, []int{1} }},
+		{"zero classes", func(a *nn.ResNetConfig) { a.Classes = 0 }},
+		{"negative input", func(a *nn.ResNetConfig) { a.InH = -8 }},
+		{"negative blocks", func(a *nn.ResNetConfig) { a.Blocks = []int{1, -1} }},
+		{"huge width", func(a *nn.ResNetConfig) { a.Widths = []int{4, 1 << 40} }},
+		{"huge block count", func(a *nn.ResNetConfig) { a.Blocks = []int{1, 1 << 40} }},
+		{"huge input", func(a *nn.ResNetConfig) { a.InH, a.InW = 1<<20, 1<<20 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rm, err := Export(trainedish(25), arch(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&rm.Arch)
+			if _, err := Read(bytes.NewReader(writeUnchecked(t, rm))); err == nil {
+				t.Fatalf("Read accepted architecture %+v", rm.Arch)
+			}
+			if err := Write(io.Discard, rm); err == nil {
+				t.Fatalf("Write accepted architecture %+v", rm.Arch)
+			}
+		})
+	}
+}
+
+// FuzzRead feeds Read arbitrary bytes and imports whatever it accepts:
+// dacserve loads every file in a -models directory, so an accepted file
+// must import as a model or an error, never a panic. The seeds are
+// round-trip bytes of a tiny full-precision and a tiny quantized release;
+// testdata/fuzz holds the same plus a header-only stream.
+func FuzzRead(f *testing.F) {
+	for _, b := range fuzzSeeds(f) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rm, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		Import(rm)
+		if len(rm.Quantized) > 0 {
+			ImportNative(rm)
+		}
+	})
+}
+
+// fuzzSeeds returns the encoded tiny releases FuzzRead starts from (a few
+// KB each, so mutation stays fast).
+func fuzzSeeds(t testing.TB) [][]byte {
+	cfg := nn.ResNetConfig{InC: 1, InH: 4, InW: 4, Classes: 2, Widths: []int{2}, Blocks: []int{1}, Seed: 1}
+	var out [][]byte
+	for _, bits := range []int{0, 2} {
+		m := nn.NewResNet(cfg)
+		var a *quantize.Applied
+		if bits > 0 {
+			a = quantize.QuantizeModel(m, quantize.Linear{}, bits)
+		}
+		rm, err := Export(m, cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, rm); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, buf.Bytes())
+	}
+	return out
 }
 
 func TestReadWithDigest(t *testing.T) {

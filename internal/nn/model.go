@@ -105,38 +105,6 @@ func (m *Model) ZeroGrad() {
 	}
 }
 
-// ReadGrads flattens every parameter gradient into dst, in parameter order.
-// dst must have NumParams elements. The sharded trainer snapshots a
-// shard's accumulated gradient into its partial buffer with this.
-func (m *Model) ReadGrads(dst []float64) {
-	off := 0
-	for _, p := range m.params {
-		off += copy(dst[off:], p.Grad.Data())
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: ReadGrads buffer has %d elements, model has %d", len(dst), off))
-	}
-}
-
-// AddGrads accumulates a flat gradient vector (as produced by ReadGrads)
-// into the parameter gradients, in parameter order. Folding shard partials
-// with repeated AddGrads calls in ascending shard order is the trainer's
-// canonical reduction: a fixed left fold whose float rounding does not
-// depend on how the partials were computed.
-func (m *Model) AddGrads(src []float64) {
-	off := 0
-	for _, p := range m.params {
-		gd := p.Grad.Data()
-		for i := range gd {
-			gd[i] += src[off+i]
-		}
-		off += len(gd)
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: AddGrads vector has %d elements, model has %d", len(src), off))
-	}
-}
-
 // Forward runs the network in inference mode.
 func (m *Model) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return m.Net.Forward(m.Ctx(), x, false)

@@ -27,26 +27,12 @@ type BatchNorm2D struct {
 	RunMean []float64
 	RunVar  []float64
 
-	// DeferStats, when set, makes the training forward pass compute and
-	// record the batch moments (BatchStats) without folding them into
-	// RunMean/RunVar. The sharded trainer uses this to make the
-	// running-statistics update a separate, ordered reduction step: each
-	// shard's moments are captured here and replayed in shard order via
-	// ApplyBatchStats. Deferral is exact because
-	// the training forward normalizes with batch statistics only — the
-	// running statistics are read at inference time, never mid-epoch.
-	DeferStats bool
-
 	// caches for backward
 	xhat    []float64 // normalized input of the last training batch
 	out     []float64 // training output; Backward writes dx over it
 	lastStd []float64
 	lastN   int
 	lastHW  int
-
-	// batch moments of the last training forward (per channel)
-	lastMu []float64
-	lastVa []float64
 }
 
 // NewBatchNorm2D creates a batch-norm layer for C channels.
@@ -102,11 +88,6 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 		b.lastStd = make([]float64, b.C)
 	}
 	b.lastStd = b.lastStd[:b.C]
-	if cap(b.lastMu) < b.C {
-		b.lastMu = make([]float64, b.C)
-		b.lastVa = make([]float64, b.C)
-	}
-	b.lastMu, b.lastVa = b.lastMu[:b.C], b.lastVa[:b.C]
 	ctx.For(b.C, func(c int, _ *compute.Arena) {
 		mu := 0.0
 		for s := 0; s < n; s++ {
@@ -137,12 +118,8 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 				od[base+i] = h*g + bb
 			}
 		}
-		b.lastMu[c] = mu
-		b.lastVa[c] = va
-		if !b.DeferStats {
-			b.RunMean[c] = (1-b.Mom)*b.RunMean[c] + b.Mom*mu
-			b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va
-		}
+		b.RunMean[c] = (1-b.Mom)*b.RunMean[c] + b.Mom*mu
+		b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va
 	})
 	b.lastN = n
 	b.lastHW = hw
@@ -193,26 +170,6 @@ func (b *BatchNorm2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Te
 }
 
 func (b *BatchNorm2D) releaseBuffers() { b.xhat, b.out = nil, nil }
-
-// BatchStats returns the per-channel batch mean and variance computed by
-// the most recent training forward pass. The slices are internal buffers,
-// valid until the next training forward; callers that keep them must copy.
-func (b *BatchNorm2D) BatchStats() (mu, va []float64) { return b.lastMu, b.lastVa }
-
-// ApplyBatchStats folds one batch's moments into the running statistics
-// with the layer's momentum — exactly the update the training forward
-// performs when DeferStats is off. The sharded trainer calls this once per
-// shard, in shard order, so the EMA sequence (and therefore
-// RunMean/RunVar, bit for bit) is a function of the shards alone.
-func (b *BatchNorm2D) ApplyBatchStats(mu, va []float64) {
-	if len(mu) != b.C || len(va) != b.C {
-		panic(fmt.Sprintf("nn: ApplyBatchStats got %d/%d channels, layer has %d", len(mu), len(va), b.C))
-	}
-	for c := 0; c < b.C; c++ {
-		b.RunMean[c] = (1-b.Mom)*b.RunMean[c] + b.Mom*mu[c]
-		b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va[c]
-	}
-}
 
 // Params implements Layer.
 func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }

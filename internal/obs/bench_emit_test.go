@@ -65,12 +65,11 @@ func forwardNsPerOp(m *nn.Model, x *tensor.Tensor, rounds int) float64 {
 	return best
 }
 
-// trainNsPerOp measures one sharded training run (Shards > 1) at the
-// current obs.Enable state, minimum over rounds. Enabling obs turns on the
-// stage machine's per-step clock reads and the per-epoch span recording —
-// including the reduce span — so this pair
-// of measurements guards the sharded trainer's instrumentation the same way
-// the forward-pass pair guards the layer instrumentation.
+// trainNsPerOp measures one training run at the current obs.Enable state,
+// minimum over rounds. Enabling obs turns on the trainer's per-step clock
+// reads and the per-epoch span and metric recording, so this pair of
+// measurements guards the trainer's instrumentation the same way the
+// forward-pass pair guards the layer instrumentation.
 func trainNsPerOp(rounds int) float64 {
 	rng := rand.New(rand.NewSource(21))
 	n := 48
@@ -88,7 +87,7 @@ func trainNsPerOp(rounds int) float64 {
 					Widths: []int{4, 8}, Blocks: []int{1, 1}, Seed: 22,
 				})
 				train.Run(m, x, y, train.Config{
-					Epochs: 1, BatchSize: 8, Shards: 2,
+					Epochs: 1, BatchSize: 8,
 					Optimizer: train.NewSGD(0.05, 0.9, 0),
 					Seed:      23, Threads: 1,
 				})
@@ -178,8 +177,8 @@ type obsBenchReport struct {
 	ServePlainNsPerOp  float64 `json:"serve_plain_ns_per_op"`
 	ServeTracedNsPerOp float64 `json:"serve_traced_ns_per_op"`
 	ServeOverheadPct   float64 `json:"serve_overhead_pct"`
-	// Sharded-trainer measurement: one Shards=2 training run with the
-	// stage-machine timing (forward/backward/reduce spans) off vs on.
+	// Trainer measurement: one training run with the per-step timing
+	// (forward/backward/optimizer spans) off vs on.
 	TrainPlainNsPerOp float64 `json:"train_plain_ns_per_op"`
 	TrainTimedNsPerOp float64 `json:"train_timed_ns_per_op"`
 	TrainOverheadPct  float64 `json:"train_overhead_pct"`
@@ -214,8 +213,8 @@ func TestEmitObsBench(t *testing.T) {
 	serveTraced := serveNsPerOp(t, h, body, rounds)
 	api.EnableTracing(false)
 
-	// Sharded trainer: the stage machine's per-step timing and per-epoch
-	// reduce span recording turn on with obs.
+	// Trainer: the per-step timing and per-epoch span recording turn on
+	// with obs.
 	obs.Enable(false)
 	trainPlain := trainNsPerOp(rounds)
 	obs.Enable(true)
@@ -243,7 +242,7 @@ func TestEmitObsBench(t *testing.T) {
 		disabled, enabled, overhead)
 	t.Logf("serving: plain %.0f ns/op, traced %.0f ns/op, overhead %+.2f%%",
 		servePlain, serveTraced, serveOverhead)
-	t.Logf("sharded training: plain %.0f ns/op, timed %.0f ns/op, overhead %+.2f%%",
+	t.Logf("training: plain %.0f ns/op, timed %.0f ns/op, overhead %+.2f%%",
 		trainPlain, trainTimed, trainOverhead)
 
 	raw, err := json.MarshalIndent(rep, "", "  ")
@@ -262,6 +261,6 @@ func TestEmitObsBench(t *testing.T) {
 		t.Fatalf("traced serving overhead %.2f%% exceeds the %.1f%% guard", serveOverhead, maxEnabledOverheadPct)
 	}
 	if trainOverhead > maxEnabledOverheadPct {
-		t.Fatalf("timed sharded-training overhead %.2f%% exceeds the %.1f%% guard", trainOverhead, maxEnabledOverheadPct)
+		t.Fatalf("timed training overhead %.2f%% exceeds the %.1f%% guard", trainOverhead, maxEnabledOverheadPct)
 	}
 }

@@ -315,18 +315,3 @@ func TestRunNilLabelsWithoutLossPanics(t *testing.T) {
 	x, _ := twoBlobs(16, 10)
 	Run(nn.NewMLP("m", 2, nil, 2, 16), x, nil, Config{Epochs: 1, Optimizer: NewSGD(0.1, 0, 0)})
 }
-
-func TestLossWithShardsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	x, y := twoBlobs(16, 10)
-	Run(nn.NewMLP("m", 2, nil, 2, 16), x, y, Config{
-		Epochs: 1, BatchSize: 8, Shards: 2, Optimizer: NewSGD(0.1, 0, 0),
-		Loss: func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor) {
-			return 0, tensor.New(logits.Shape()...)
-		},
-	})
-}

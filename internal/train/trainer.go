@@ -56,19 +56,11 @@ type Config struct {
 	// quantize.FineTune passes the model's current context so fine-tuning
 	// keeps whatever context training or the caller installed.
 	Ctx *compute.Ctx
-	// Shards is the semantic data-parallel knob: each batch's gradient is
-	// computed as Shards independent contiguous shard partials (batch norm
-	// sees shard-local statistics, like gradient accumulation) and reduced
-	// in ascending shard order. Results depend on Shards but are
-	// byte-identical for every thread count. 0 defaults to 1, the
-	// whole-batch path. Must be ≤ BatchSize.
-	Shards int
 	// Loss, when non-nil, replaces the default softmax cross-entropy
 	// against y: it receives the batch's logits and the batch's sample
 	// indices into x, and returns the batch-mean loss and its gradient with
 	// respect to the logits. Distillation uses it to train against soft
-	// targets; y may then be nil. Only the whole-batch path supports it
-	// (Shards ≤ 1).
+	// targets; y may then be nil.
 	Loss func(logits *tensor.Tensor, idx []int) (float64, *tensor.Tensor)
 	// Log, when non-nil, receives each epoch's statistics. Use LogTo for
 	// the default one-line stdout formatter.
@@ -114,14 +106,11 @@ type EpochStats struct {
 	// timing is on (Config.Trace set or obs enabled) and zero otherwise,
 	// so the hot loop pays no clock reads by default.
 	Forward, Backward, Reg, Optim time.Duration
-	// Reduce is the sharded path's shard-order gradient fold plus
-	// batch-norm replay, accounted separately so Backward measures compute
-	// only.
-	//
-	// Exchange is always zero. It timed the removed multi-process
-	// trainer's partial exchange and stays only because EpochStats is
-	// gob-encoded inside every DACCKP1 checkpoint: dropping the field
-	// would change every checkpoint's bytes and every pinned digest.
+	// Exchange and Reduce are always zero. They timed the removed
+	// multi-process partial exchange and the removed sharded gradient fold,
+	// and stay only because EpochStats is gob-encoded inside every DACCKP1
+	// checkpoint: gob writes every field name, so dropping either would
+	// change every checkpoint's bytes and every pinned digest.
 	Exchange, Reduce time.Duration
 	// GroupCorr is the per-group correlation reported by the regularizer
 	// after the epoch's last step (nil unless the regularizer exposes
@@ -150,12 +139,12 @@ func (r Result) FinalLoss() float64 {
 	return r.Epochs[len(r.Epochs)-1].DataLoss
 }
 
-// Run trains m on inputs x (N, ...) with labels y under cfg. Each epoch is
-// driven through an explicit per-step stage machine (see stepMachine):
-// shard → forward/backward partials → global reduce → optimizer step.
-// With Shards == 1 (the default) the machine collapses to the whole-batch
-// path; with Shards > 1 the result is byte-identical for every thread
-// count. y may be nil when cfg.Loss is set.
+// Run trains m on inputs x (N, ...) with labels y under cfg. Each step
+// gathers one whole minibatch of the epoch's shuffle, runs forward, the
+// loss and backward, then the regularizer, gradient clipping and the
+// optimizer step. The result is byte-identical for every thread count.
+// Samples past the last full batch are skipped for the epoch. y may be
+// nil when cfg.Loss is set.
 func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	n := x.Dim(0)
 	if len(y) != n && (cfg.Loss == nil || y != nil) {
@@ -166,13 +155,6 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 	}
 	if cfg.Optimizer == nil {
 		panic("train: Config.Optimizer is required")
-	}
-	shards := max(cfg.Shards, 1)
-	if shards > cfg.BatchSize {
-		panic(fmt.Sprintf("train: %d shards over batch size %d (every shard needs at least one sample)", shards, cfg.BatchSize))
-	}
-	if cfg.Loss != nil && shards > 1 {
-		panic("train: Config.Loss supports only the whole-batch path (Shards <= 1)")
 	}
 	if cfg.Ctx != nil {
 		m.SetCtx(cfg.Ctx)
@@ -203,31 +185,50 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 		}
 	}
 
-	sm := newStepMachine(m, x, y, cfg.BatchSize, shards, cfg.Loss)
-	defer sm.close()
+	bx := tensor.New(cfg.BatchSize, x.Len()/n)
+	by := make([]int, cfg.BatchSize)
+	shape := append([]int{cfg.BatchSize}, m.InputShape...)
+	lossFn := cfg.Loss
+	if lossFn == nil {
+		lossFn = func(logits *tensor.Tensor, _ []int) (float64, *tensor.Tensor) {
+			return nn.SoftmaxCrossEntropy(logits, by)
+		}
+	}
 
 	for epoch := start; epoch < cfg.Epochs; epoch++ {
 		// Timing is re-checked per epoch so flipping obs.Enable mid-run
 		// (e.g. from a signal handler) takes effect at the next epoch.
 		timed := cfg.Trace != nil || obs.Enabled()
-		sm.timed = timed
 		if cfg.Schedule != nil {
 			cfg.Optimizer.SetLR(cfg.Schedule(epoch))
 		}
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		var dataLoss, regLoss float64
-		var tReg, tOptim time.Duration
+		var tForward, tBackward, tReg, tOptim time.Duration
 		var epochStart time.Time
 		if timed {
 			epochStart = time.Now()
 		}
 		steps := 0
 		for lo := 0; lo+cfg.BatchSize <= n; lo += cfg.BatchSize {
-			loss := sm.step(perm[lo : lo+cfg.BatchSize])
-
+			idx := perm[lo : lo+cfg.BatchSize]
+			gather(bx, by, x, y, idx)
+			m.ZeroGrad()
 			var t0 time.Time
 			if timed {
 				t0 = time.Now()
+			}
+			loss, grad := lossFn(m.ForwardTrain(bx.Reshape(shape...)), idx)
+			if timed {
+				t1 := time.Now()
+				tForward += t1.Sub(t0)
+				t0 = t1
+			}
+			m.Backward(grad)
+			if timed {
+				t1 := time.Now()
+				tBackward += t1.Sub(t0)
+				t0 = t1
 			}
 			if cfg.Reg != nil {
 				regLoss += cfg.Reg.Apply(m)
@@ -254,9 +255,8 @@ func Run(m *nn.Model, x *tensor.Tensor, y []int, cfg Config) Result {
 		st := EpochStats{
 			Epoch: epoch, DataLoss: dataLoss, RegLoss: regLoss,
 			LR: cfg.Optimizer.LR(), Steps: steps,
-			Reg: tReg, Optim: tOptim,
+			Forward: tForward, Backward: tBackward, Reg: tReg, Optim: tOptim,
 		}
-		st.Forward, st.Backward, st.Reduce = sm.drainTimings()
 		if gc, ok := cfg.Reg.(groupCorrelated); ok {
 			st.GroupCorr = gc.Correlations()
 		}
@@ -283,9 +283,6 @@ func recordEpoch(tr *obs.Tracer, st EpochStats, epochWall time.Duration) {
 	tr.Add("train/epoch", epochWall, 1)
 	tr.Add("train/epoch/forward", st.Forward, steps)
 	tr.Add("train/epoch/backward", st.Backward, steps)
-	if st.Reduce > 0 {
-		tr.Add("train/epoch/reduce", st.Reduce, steps)
-	}
 	if st.Reg > 0 {
 		tr.Add("train/epoch/regularizer", st.Reg, steps)
 	}
