@@ -32,9 +32,11 @@ serve-bench:
 	go test ./internal/serve/ -run '^TestEmitServeBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_serve.json
 	go test ./internal/serve/ -run '^$$' -bench ServePredict
 
-# Blocked-vs-naive matmul kernel sweep written to BENCH_kernels.json. The
-# kernels are bit-identical by construction (the tests enforce it); this
-# records what the blocking buys.
+# Blocked-vs-naive matmul kernel sweep written to BENCH_kernels.json, plus
+# Im2Col/Col2Im ns per element at the release net's conv geometries (the
+# bounds-testing reference loops against the gather plan). The kernels are
+# bit-identical by construction (the tests enforce it); this records what
+# the blocking and the plan buy, and fails if the plan is slower anywhere.
 kernels-bench:
 	go test ./internal/tensor/ -run '^TestEmitKernelsBench$$' -count=1 -v -args -emit-bench=$(CURDIR)/BENCH_kernels.json
 

@@ -235,6 +235,14 @@ func ReadWithDigest(r io.Reader) (*ReleasedModel, string, error) {
 // most).
 const maxArchParams = 1 << 22
 
+// maxArchPatch bounds the im2col patch-matrix entries per sample, summed
+// over the convolutions a file's Arch describes. A forward pass fills one
+// patch matrix per convolution, and Import sizes each convolution's gather
+// plan by its rows and columns, so a small network on a huge input would
+// otherwise pass maxArchParams yet exhaust memory. The release net has
+// about 55 thousand entries, the face net about 300 thousand.
+const maxArchPatch = 1 << 22
+
 // validate checks the structural invariants a well-formed ReleasedModel
 // satisfies, so a corrupted file fails with a descriptive error instead of
 // an index panic in Import.
@@ -272,10 +280,10 @@ func validate(rm *ReleasedModel) error {
 
 // validateArch checks that nn.NewResNet can build the architecture (Import
 // rebuilds the network from it): positive dimensions, one block count per
-// stage, and at most maxArchParams parameters and input values per sample.
-// The parameter count is an upper bound (every block is charged a
-// projection shortcut), taken in float64 so no header value can overflow
-// it.
+// stage, at most maxArchParams parameters and input values per sample,
+// and at most maxArchPatch patch-matrix entries per sample. The parameter
+// and patch counts are upper bounds (every block is charged a projection
+// shortcut), taken in float64 so no header value can overflow them.
 func validateArch(a nn.ResNetConfig) error {
 	if a.InC <= 0 || a.InH <= 0 || a.InW <= 0 || a.Classes <= 0 {
 		return fmt.Errorf("modelio: architecture input %dx%dx%d with %d classes: dimensions must be positive", a.InC, a.InH, a.InW, a.Classes)
@@ -288,6 +296,8 @@ func validateArch(a nn.ResNetConfig) error {
 	}
 	c := float64(a.Widths[0])
 	n := 9*float64(a.InC)*c + 3*c // stem conv and its batch norm
+	oh, ow := a.InH, a.InW
+	patch := 9 * float64(a.InC) * float64(oh*ow) // stem conv: 3×3, stride 1
 	for i, wi := range a.Widths {
 		if wi <= 0 || a.Blocks[i] < 0 {
 			return fmt.Errorf("modelio: architecture stage %d has width %d and %d blocks (want width > 0, blocks >= 0)", i, wi, a.Blocks[i])
@@ -298,7 +308,16 @@ func validateArch(a nn.ResNetConfig) error {
 		// Two 3×3 convs and a 1×1 projection, each with bias and batch norm.
 		w := float64(wi)
 		n += 9*c*w + 9*w*w + c*w + 9*w + float64(a.Blocks[i]-1)*(19*w*w+9*w)
+		// Every stage after the first halves the spatial size in its first
+		// block; all of its convs then run at the output size.
+		if i > 0 {
+			oh, ow = (oh-1)/2+1, (ow-1)/2+1
+		}
+		patch += (10*c + 9*w + float64(a.Blocks[i]-1)*19*w) * float64(oh*ow)
 		c = w
+	}
+	if patch > maxArchPatch {
+		return fmt.Errorf("modelio: architecture has more than %d patch-matrix entries per sample", maxArchPatch)
 	}
 	n += (c + 1) * float64(a.Classes)
 	if n > maxArchParams {

@@ -320,6 +320,14 @@ func TestReadRejectsHostileArch(t *testing.T) {
 		{"huge width", func(a *nn.ResNetConfig) { a.Widths = []int{4, 1 << 40} }},
 		{"huge block count", func(a *nn.ResNetConfig) { a.Blocks = []int{1, 1 << 40} }},
 		{"huge input", func(a *nn.ResNetConfig) { a.InH, a.InW = 1<<20, 1<<20 }},
+		// Few parameters and an input within bounds, but 3.8e9 patch-matrix
+		// entries in one 3×3 conv: the convolutions could not run.
+		{"huge patch matrix", func(a *nn.ResNetConfig) {
+			a.InC, a.InH, a.InW, a.Widths, a.Blocks = 1, 2048, 2048, []int{100}, []int{1}
+		}},
+		{"huge patch matrix, stem within bounds", func(a *nn.ResNetConfig) {
+			a.InC, a.InH, a.InW, a.Widths, a.Blocks = 1, 512, 512, []int{50}, []int{1}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rm, err := Export(trainedish(25), arch(), nil)

@@ -13,10 +13,12 @@ import (
 // a single matmul against the im2col patch matrix per sample. The batch is
 // sharded across the execution context's workers; training-mode im2col
 // matrices persist in a layer-owned cache for Backward, while eval-mode
-// scratch comes from the per-worker arenas.
+// im2col matrices and the padded-sample scratch of the gather plan come
+// from the per-worker arenas.
 type Conv2D struct {
 	name    string
 	Dims    tensor.ConvDims
+	plan    *tensor.ConvPlan // Im2Col/Col2Im gather plan of Dims
 	W, B    *Param
 	wview   tensor.Weights // eval weight view; defaults to aliasing W
 	cols    []float64      // cached im2col matrices for the last training batch
@@ -32,6 +34,7 @@ func NewConv2D(name string, inC, inH, inW, outC, k, stride, pad int, rng *rand.R
 	b := tensor.New(outC)
 	return &Conv2D{
 		name: name, Dims: d,
+		plan:    tensor.NewConvPlan(d),
 		W:       newParam(name+".w", w, true),
 		B:       newParam(name+".b", b, false),
 		wview:   tensor.DenseWeights(w.Data()),
@@ -86,7 +89,7 @@ func (c *Conv2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *tensor
 		} else {
 			col = a.Floats(colSize)
 		}
-		tensor.Im2Col(c.Dims, xd[i*c.Dims.InElems:(i+1)*c.Dims.InElems], col)
+		c.plan.Im2Col(xd[i*c.Dims.InElems:(i+1)*c.Dims.InElems], col, a.Floats(c.plan.ScratchLen()))
 		oSample := od[i*c.Dims.OutElems : (i+1)*c.Dims.OutElems]
 		tensor.MatMulWSlice(oSample, wv, col, c.Dims.OutC, c.Dims.ColRows, spatial)
 		if bd != nil {
@@ -132,7 +135,7 @@ func (c *Conv2D) Backward(ctx *compute.Ctx, grad *tensor.Tensor) *tensor.Tensor 
 		// dcol = Wᵀ·g : (colRows,outC)·(outC,cols)
 		dcol := a.Floats(colSize)
 		tensor.TMatMulSlice(dcol, wd, gSample, c.Dims.OutC, c.Dims.ColRows, spatial)
-		tensor.Col2Im(c.Dims, dcol, dxd[i*c.Dims.InElems:(i+1)*c.Dims.InElems])
+		c.plan.Col2Im(dcol, dxd[i*c.Dims.InElems:(i+1)*c.Dims.InElems], a.Floats(c.plan.ScratchLen()))
 		if c.useBias {
 			for ch := 0; ch < c.Dims.OutC; ch++ {
 				row := gSample[ch*spatial : (ch+1)*spatial]

@@ -17,6 +17,13 @@ import (
 // only that channel's locations, so the parallel path is a pure map and
 // bit-identical to the serial one. Within a channel, sums run over samples
 // in batch order exactly as the serial loop does.
+//
+// The training forward takes two channels per work item and runs their
+// mean and variance sums as two independent accumulator chains in one
+// pass, so the adds of one chain fill the latency of the other. Each
+// channel keeps its own chain in its own order, so pairing changes no bit.
+// Backward stays one channel per item: its two sums per channel already
+// form two chains.
 type BatchNorm2D struct {
 	name    string
 	C       int
@@ -88,38 +95,31 @@ func (b *BatchNorm2D) Forward(ctx *compute.Ctx, x *tensor.Tensor, train bool) *t
 		b.lastStd = make([]float64, b.C)
 	}
 	b.lastStd = b.lastStd[:b.C]
-	ctx.For(b.C, func(c int, _ *compute.Arena) {
-		mu := 0.0
-		for s := 0; s < n; s++ {
-			base := (s*b.C + c) * hw
-			for i := 0; i < hw; i++ {
-				mu += xd[base+i]
+	ctx.For((b.C+1)/2, func(p int, _ *compute.Arena) {
+		apply := func(c int, mu, va float64) {
+			std := math.Sqrt(va + b.Eps)
+			b.lastStd[c] = std
+			invStd := 1.0 / std
+			g, bb := gd[c], bd[c]
+			for s := 0; s < n; s++ {
+				base := (s*b.C + c) * hw
+				for i := 0; i < hw; i++ {
+					h := (xd[base+i] - mu) * invStd
+					xh[base+i] = h
+					od[base+i] = h*g + bb
+				}
 			}
+			b.RunMean[c] = (1-b.Mom)*b.RunMean[c] + b.Mom*mu
+			b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va
 		}
-		mu /= cnt
-		va := 0.0
-		for s := 0; s < n; s++ {
-			base := (s*b.C + c) * hw
-			for i := 0; i < hw; i++ {
-				d := xd[base+i] - mu
-				va += d * d
-			}
+		c0, c1 := channelPair(p, b.C)
+		s0, s1 := sumPair(xd, b.C, n, hw, c0, c1)
+		mu0, mu1 := s0/cnt, s1/cnt
+		q0, q1 := sqDevPair(xd, b.C, n, hw, c0, c1, mu0, mu1)
+		apply(c0, mu0, q0/cnt)
+		if c1 != c0 {
+			apply(c1, mu1, q1/cnt)
 		}
-		va /= cnt
-		std := math.Sqrt(va + b.Eps)
-		b.lastStd[c] = std
-		invStd := 1.0 / std
-		g, bb := gd[c], bd[c]
-		for s := 0; s < n; s++ {
-			base := (s*b.C + c) * hw
-			for i := 0; i < hw; i++ {
-				h := (xd[base+i] - mu) * invStd
-				xh[base+i] = h
-				od[base+i] = h*g + bb
-			}
-		}
-		b.RunMean[c] = (1-b.Mom)*b.RunMean[c] + b.Mom*mu
-		b.RunVar[c] = (1-b.Mom)*b.RunVar[c] + b.Mom*va
 	})
 	b.lastN = n
 	b.lastHW = hw
@@ -173,3 +173,42 @@ func (b *BatchNorm2D) releaseBuffers() { b.xhat, b.out = nil, nil }
 
 // Params implements Layer.
 func (b *BatchNorm2D) Params() []*Param { return []*Param{b.Gamma, b.Beta} }
+
+// channelPair returns the two channels of work item p. With an odd channel
+// count the last item pairs its channel with itself; the reductions below
+// are pure, so the twin's results are simply not used.
+func channelPair(p, channels int) (c0, c1 int) {
+	c0 = 2 * p
+	return c0, min(c0+1, channels-1)
+}
+
+// sumPair returns Σx over channels c0 and c1 of an (n, channels, hw)
+// batch, each summed over samples then pixels in one chain of its own.
+func sumPair(x []float64, channels, n, hw, c0, c1 int) (s0, s1 float64) {
+	for s := 0; s < n; s++ {
+		x0 := x[(s*channels+c0)*hw : (s*channels+c0+1)*hw]
+		x1 := x[(s*channels+c1)*hw : (s*channels+c1+1)*hw]
+		x1 = x1[:len(x0)]
+		for i, v := range x0 {
+			s0 += v
+			s1 += x1[i]
+		}
+	}
+	return s0, s1
+}
+
+// sqDevPair returns Σ(x−mu)² over channels c0 and c1, in sumPair's order.
+func sqDevPair(x []float64, channels, n, hw, c0, c1 int, mu0, mu1 float64) (q0, q1 float64) {
+	for s := 0; s < n; s++ {
+		x0 := x[(s*channels+c0)*hw : (s*channels+c0+1)*hw]
+		x1 := x[(s*channels+c1)*hw : (s*channels+c1+1)*hw]
+		x1 = x1[:len(x0)]
+		for i, v := range x0 {
+			d0 := v - mu0
+			q0 += d0 * d0
+			d1 := x1[i] - mu1
+			q1 += d1 * d1
+		}
+	}
+	return q0, q1
+}

@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -32,6 +33,29 @@ type kernelPoint struct {
 	SIMDSpeedup   float64 `json:"simd_speedup,omitempty"`
 }
 
+// convPoint is one data-movement kernel (im2col or col2im) at one
+// convolution geometry: the bounds-testing reference loop against the
+// gather plan, in nanoseconds per element of the patch matrix. Stride-1
+// im2col rows also time both of the plan's row strategies, whole
+// output-row runs and the per-pixel gather, whichever the plan picks
+// (runMinWidth).
+type convPoint struct {
+	Kernel      string  `json:"kernel"`
+	InC         int     `json:"in_c"`
+	InH         int     `json:"in_h"`
+	InW         int     `json:"in_w"`
+	K           int     `json:"k"`
+	Stride      int     `json:"stride"`
+	Pad         int     `json:"pad"`
+	Elems       int     `json:"elems"`
+	RefNsPerEl  float64 `json:"ref_ns_per_elem"`
+	PlanNsPerEl float64 `json:"plan_ns_per_elem"`
+	Speedup     float64 `json:"speedup"`
+	PlanUses    string  `json:"plan_uses,omitempty"`
+	RunsNsPerEl float64 `json:"runs_ns_per_elem,omitempty"`
+	GathNsPerEl float64 `json:"gather_ns_per_elem,omitempty"`
+}
+
 type benchHost struct {
 	Go         string `json:"go"`
 	GOARCH     string `json:"goarch"`
@@ -47,6 +71,7 @@ type kernelReport struct {
 	Threads int           `json:"threads"`
 	Notes   string        `json:"notes"`
 	Points  []kernelPoint `json:"points"`
+	Conv    []convPoint   `json:"conv"`
 }
 
 func hostInfo() benchHost {
@@ -76,29 +101,44 @@ func hostInfo() benchHost {
 
 // gflops times fn (one full m×k×n product per call) and converts the best
 // observed ns/op into GFLOP/s, counting 2 flops per multiply-accumulate.
-// Each of five rounds runs enough calls to take about 50 ms.
 func gflops(m, k, n int, fn func()) float64 {
-	calls := 1
-	for {
-		start := time.Now()
-		for i := 0; i < calls; i++ {
-			fn()
+	return 2 * float64(m) * float64(k) * float64(n) / bestNs(5, 50*time.Millisecond, fn)[0]
+}
+
+// bestNs returns the best observed ns per call of each fn over the given
+// number of rounds, each running enough calls of each fn to take about
+// round. The functions take turns within every round, so a change in
+// machine load between them shows in both, not in their ratio.
+func bestNs(rounds int, round time.Duration, fns ...func()) []float64 {
+	calls := make([]int, len(fns))
+	for f, fn := range fns {
+		calls[f] = 1
+		for {
+			start := time.Now()
+			for i := 0; i < calls[f]; i++ {
+				fn()
+			}
+			if el := time.Since(start); el >= round/10 {
+				calls[f] = max(1, calls[f]*int(round/el))
+				break
+			}
+			calls[f] *= 2
 		}
-		if time.Since(start) >= 5*time.Millisecond {
-			calls = max(1, calls*int(50*time.Millisecond/time.Since(start)))
-			break
-		}
-		calls *= 2
 	}
-	best := math.MaxFloat64
-	for r := 0; r < 5; r++ {
-		start := time.Now()
-		for i := 0; i < calls; i++ {
-			fn()
-		}
-		best = min(best, float64(time.Since(start).Nanoseconds())/float64(calls))
+	best := make([]float64, len(fns))
+	for f := range best {
+		best[f] = math.MaxFloat64
 	}
-	return 2 * float64(m) * float64(k) * float64(n) / best
+	for r := 0; r < rounds; r++ {
+		for f, fn := range fns {
+			start := time.Now()
+			for i := 0; i < calls[f]; i++ {
+				fn()
+			}
+			best[f] = min(best[f], float64(time.Since(start).Nanoseconds())/float64(calls[f]))
+		}
+	}
+	return best
 }
 
 // withAVX2 runs fn with the assembly kernels switched on or off.
@@ -131,7 +171,12 @@ func TestEmitKernelsBench(t *testing.T) {
 			"(matmul a·b, matmulT a·bᵀ, tmatmul aᵀ·b); blocked is the Go " +
 			"fallback, simd the AVX2 assembly the public API dispatches to " +
 			"when the CPU has it; all stay bit-identical to naive " +
-			"(TestBlockedKernelsBitIdentical)",
+			"(TestBlockedKernelsBitIdentical); conv rows time Im2Col/Col2Im per " +
+			"patch-matrix element, the bounds-testing reference loops against the " +
+			"gather plan, at the release net's geometries (the plan must not be slower); " +
+			"stride-1 im2col rows also time row runs against the pixel gather, the " +
+			"choice the plan makes from the output width (12x8x8 is a probe " +
+			"between the release net's 6- and 12-wide rows, not a release layer)",
 	}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
@@ -169,6 +214,8 @@ func TestEmitKernelsBench(t *testing.T) {
 		}
 	}
 
+	rep.Conv = convBench(t, rng)
+
 	raw, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -177,4 +224,80 @@ func TestEmitKernelsBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", *emitBench)
+	for _, p := range rep.Conv {
+		if p.PlanNsPerEl > p.RefNsPerEl {
+			t.Errorf("%s %dx%dx%d k%d s%d p%d: plan %.2f ns/elem is slower than the reference loop's %.2f",
+				p.Kernel, p.InC, p.InH, p.InW, p.K, p.Stride, p.Pad, p.PlanNsPerEl, p.RefNsPerEl)
+		}
+	}
+}
+
+// convBench times Im2Col and Col2Im at the release network's convolution
+// geometries: the reference loops of conv_test.go against the gather plan
+// with its scratch reused, as a layer runs it.
+func convBench(t *testing.T, rng *rand.Rand) []convPoint {
+	geoms := []ConvDims{
+		NewConvDims(1, 12, 12, 6, 3, 3, 1, 1),  // stem
+		NewConvDims(6, 12, 12, 6, 3, 3, 1, 1),  // stage 1
+		NewConvDims(12, 8, 8, 12, 3, 3, 1, 1),  // runs-or-gather probe, 8-wide rows
+		NewConvDims(12, 6, 6, 12, 3, 3, 1, 1),  // stage 2
+		NewConvDims(24, 3, 3, 24, 3, 3, 1, 1),  // stage 3
+		NewConvDims(6, 12, 12, 12, 3, 3, 2, 1), // stage 2 downsampling
+		NewConvDims(12, 6, 6, 24, 3, 3, 2, 1),  // stage 3 downsampling
+		NewConvDims(6, 12, 12, 12, 1, 1, 2, 0), // stage 2 projection
+		NewConvDims(12, 6, 6, 24, 1, 1, 2, 0),  // stage 3 projection
+	}
+	var pts []convPoint
+	for _, d := range geoms {
+		p := NewConvPlan(d)
+		scratch := make([]float64, p.ScratchLen())
+		x, dx := make([]float64, d.InElems), make([]float64, d.InElems)
+		cols := make([]float64, d.ColRows*d.Cols)
+		fillCases(rng, x, 0)
+		fillCases(rng, cols, 0)
+		elems := float64(len(cols))
+		pt := func(kernel string, ref, plan float64) convPoint {
+			return convPoint{
+				Kernel: kernel, InC: d.InC, InH: d.InH, InW: d.InW, K: d.KH, Stride: d.Stride, Pad: d.Pad,
+				Elems:       len(cols),
+				RefNsPerEl:  ref / elems,
+				PlanNsPerEl: plan / elems,
+				Speedup:     ref / plan,
+			}
+		}
+		var im convPoint
+		if d.Stride == 1 {
+			// The same plan with its other row strategy.
+			alt := *p
+			alt.rowRuns = !p.rowRuns
+			ns := bestNs(10, 20*time.Millisecond,
+				func() { im2colRef(d, x, cols) },
+				func() { p.Im2Col(x, cols, scratch) },
+				func() { alt.Im2Col(x, cols, scratch) })
+			im = pt("im2col", ns[0], ns[1])
+			im.RunsNsPerEl, im.GathNsPerEl, im.PlanUses = ns[1]/elems, ns[2]/elems, "runs"
+			if !p.rowRuns {
+				im.RunsNsPerEl, im.GathNsPerEl, im.PlanUses = ns[2]/elems, ns[1]/elems, "gather"
+			}
+		} else {
+			ns := bestNs(10, 20*time.Millisecond,
+				func() { im2colRef(d, x, cols) },
+				func() { p.Im2Col(x, cols, scratch) })
+			im = pt("im2col", ns[0], ns[1])
+		}
+		ns := bestNs(10, 20*time.Millisecond,
+			func() { col2imRef(d, cols, dx) },
+			func() { p.Col2Im(cols, dx, scratch) })
+		c2 := pt("col2im", ns[0], ns[1])
+		for _, q := range []convPoint{im, c2} {
+			rows := ""
+			if q.PlanUses != "" {
+				rows = fmt.Sprintf("; runs %.2f, gather %.2f", q.RunsNsPerEl, q.GathNsPerEl)
+			}
+			t.Logf("%-6s %2dx%2dx%2d k%d s%d p%d: ref %.2f, plan %.2f ns/elem (%.2fx)%s",
+				q.Kernel, d.InC, d.InH, d.InW, d.KH, d.Stride, d.Pad, q.RefNsPerEl, q.PlanNsPerEl, q.Speedup, rows)
+			pts = append(pts, q)
+		}
+	}
+	return pts
 }

@@ -36,104 +36,183 @@ func NewConvDims(inC, inH, inW, outC, kh, kw, stride, pad int) ConvDims {
 	return d
 }
 
-// Im2Col expands one NCHW sample (flattened in src, length d.InElems) into a
-// (ColRows × Cols) patch matrix written into dst (length ColRows*Cols).
-// Column j holds the receptive field of output pixel j, channel-major.
-func Im2Col(d ConvDims, src, dst []float64) {
-	if len(src) != d.InElems || len(dst) != d.ColRows*d.Cols {
-		panic(fmt.Sprintf("tensor: Im2Col buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.InElems, d.ColRows*d.Cols))
+// runMinWidth is the output width from which a stride-1 plan's Im2Col
+// copies whole output-row runs instead of gathering pixel by pixel. Runs
+// win from 8-wide rows up and lose to the gather on the 3- and 6-wide rows
+// of the release net's deeper stages, where the per-run overhead dominates
+// (the conv rows of BENCH_kernels.json time both).
+const runMinWidth = 8
+
+// ConvPlan is the data-movement plan of one convolution geometry, built
+// once so that Im2Col and Col2Im run without a bounds test.
+//
+// Both work on a zero-padded copy of the sample (InC × (InH+2·Pad) ×
+// (InW+2·Pad)), where every kernel tap of every output pixel is in
+// bounds: im2col row (c, ky, kx) starts at rowOff[row] in the padded
+// sample and output pixel j sits pixOff[j] past that start, the same for
+// every row.
+//
+// Im2Col copies the sample into the padded buffer and gathers each row
+// from it. It only copies values, so its output is the bounds-testing
+// loop's bit for bit (pad cells are +0, as that loop's literal zero).
+//
+// Col2Im scatter-adds each row into a +0-cleared padded buffer in the
+// bounds-testing loop's tap → oy → ox order, then copies the interior
+// out. Every interior element gets the loop's terms in the loop's order
+// from a +0 seed; the terms that land on pad cells are the ones the loop
+// skipped, and are dropped with the border.
+//
+// With Pad == 0 the sample itself is the padded copy and no scratch is
+// used. A plan holds one offset per im2col row and one per output pixel,
+// is read-only after NewConvPlan and safe for concurrent use; the scratch
+// passed to each call belongs to the caller.
+type ConvPlan struct {
+	ConvDims
+	padW    int   // padded row length, InW + 2·Pad
+	padLen  int   // padded sample length; 0 when Pad == 0
+	rowOff  []int // per im2col row: offset of its (c, ky, kx) tap
+	pixOff  []int // per output pixel: offset from its row's tap
+	rowRuns bool  // stride 1 with OutW >= runMinWidth: copy output-row runs
+}
+
+// NewConvPlan builds the gather plan of geometry d.
+func NewConvPlan(d ConvDims) *ConvPlan {
+	padH, padW := d.InH+2*d.Pad, d.InW+2*d.Pad
+	p := &ConvPlan{
+		ConvDims: d,
+		padW:     padW,
+		rowOff:   make([]int, 0, d.ColRows),
+		pixOff:   make([]int, 0, d.Cols),
+		rowRuns:  d.Stride == 1 && d.OutW >= runMinWidth,
 	}
-	cols := d.Cols
-	idx := 0
+	if d.Pad > 0 {
+		p.padLen = d.InC * padH * padW
+	}
 	for c := 0; c < d.InC; c++ {
-		chBase := c * d.InH * d.InW
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
-				row := dst[idx*cols : (idx+1)*cols]
-				idx++
-				j := 0
-				for oy := 0; oy < d.OutH; oy++ {
-					iy := oy*d.Stride - d.Pad + ky
-					if iy < 0 || iy >= d.InH {
-						for ox := 0; ox < d.OutW; ox++ {
-							row[j] = 0
-							j++
-						}
-						continue
-					}
-					rowBase := chBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.Stride - d.Pad + kx
-						if ix < 0 || ix >= d.InW {
-							row[j] = 0
-						} else {
-							row[j] = src[rowBase+ix]
-						}
-						j++
-					}
-				}
+				p.rowOff = append(p.rowOff, (c*padH+ky)*padW+kx)
 			}
+		}
+	}
+	for oy := 0; oy < d.OutH; oy++ {
+		for ox := 0; ox < d.OutW; ox++ {
+			p.pixOff = append(p.pixOff, oy*d.Stride*padW+ox*d.Stride)
+		}
+	}
+	return p
+}
+
+// ScratchLen is the length of the scratch buffer Im2Col and Col2Im need: the
+// padded sample, or 0 for an unpadded geometry.
+func (p *ConvPlan) ScratchLen() int { return p.padLen }
+
+// Im2Col expands one NCHW sample (flattened in src, length InElems) into a
+// (ColRows × Cols) patch matrix written into dst (length ColRows*Cols).
+// Column j holds the receptive field of output pixel j, channel-major.
+// scratch (length ScratchLen) may hold anything; every cell of it is
+// rewritten.
+func (p *ConvPlan) Im2Col(src, dst, scratch []float64) {
+	if len(src) != p.InElems || len(dst) != p.ColRows*p.Cols || len(scratch) != p.padLen {
+		panic(fmt.Sprintf("tensor: Im2Col buffer sizes src=%d dst=%d scratch=%d want %d,%d,%d",
+			len(src), len(dst), len(scratch), p.InElems, p.ColRows*p.Cols, p.padLen))
+	}
+	in := src
+	if p.Pad > 0 {
+		p.padInto(src, scratch)
+		in = scratch
+	}
+	cols, outW := p.Cols, p.OutW
+	for r, off := range p.rowOff {
+		row := dst[r*cols : (r+1)*cols]
+		tap := in[off:]
+		if p.rowRuns {
+			for j, o := 0, 0; j < cols; j, o = j+outW, o+p.padW {
+				copy(row[j:j+outW], tap[o:o+outW])
+			}
+			continue
+		}
+		row = row[:len(p.pixOff)]
+		for j, o := range p.pixOff {
+			row[j] = tap[o]
 		}
 	}
 }
 
 // Col2Im scatters a (ColRows × Cols) patch-gradient matrix back into an
-// input-gradient buffer dst (length d.InElems), accumulating overlaps.
-// dst is zeroed first, so its previous contents do not matter.
-//
-// Each kernel tap's in-bounds output rows and columns are computed once, so
-// the inner loop adds a contiguous run (a strided one for stride > 1)
-// without per-element bounds tests. Taps, rows and columns are visited in
-// the same order as a bounds-testing loop would, so every element
-// accumulates the same terms in the same order.
-func Col2Im(d ConvDims, src, dst []float64) {
-	if len(dst) != d.InElems || len(src) != d.ColRows*d.Cols {
-		panic(fmt.Sprintf("tensor: Col2Im buffer sizes src=%d dst=%d want %d,%d", len(src), len(dst), d.ColRows*d.Cols, d.InElems))
+// input-gradient buffer dst (length InElems), accumulating overlaps. dst and
+// scratch (length ScratchLen) may hold anything; dst is fully rewritten.
+func (p *ConvPlan) Col2Im(src, dst, scratch []float64) {
+	if len(dst) != p.InElems || len(src) != p.ColRows*p.Cols || len(scratch) != p.padLen {
+		panic(fmt.Sprintf("tensor: Col2Im buffer sizes src=%d dst=%d scratch=%d want %d,%d,%d",
+			len(src), len(dst), len(scratch), p.ColRows*p.Cols, p.InElems, p.padLen))
 	}
-	clear(dst)
-	cols := d.Cols
-	idx := 0
-	for c := 0; c < d.InC; c++ {
-		chBase := c * d.InH * d.InW
-		for ky := 0; ky < d.KH; ky++ {
-			oyLo, oyHi := tapRange(ky, d.Stride, d.Pad, d.InH, d.OutH)
-			for kx := 0; kx < d.KW; kx++ {
-				row := src[idx*cols : (idx+1)*cols]
-				idx++
-				oxLo, oxHi := tapRange(kx, d.Stride, d.Pad, d.InW, d.OutW)
-				if oxLo >= oxHi {
-					continue
-				}
-				for oy := oyLo; oy < oyHi; oy++ {
-					iy := oy*d.Stride - d.Pad + ky
-					run := row[oy*d.OutW+oxLo : oy*d.OutW+oxHi]
-					base := chBase + iy*d.InW + oxLo*d.Stride - d.Pad + kx
-					if d.Stride == 1 {
-						out := dst[base : base+len(run)]
-						for i, v := range run {
-							out[i] += v
-						}
-						continue
-					}
-					for i, v := range run {
-						dst[base+i*d.Stride] += v
-					}
-				}
+	acc := dst
+	if p.Pad > 0 {
+		acc = scratch
+	}
+	clear(acc)
+	cols := p.Cols
+	for r, off := range p.rowOff {
+		row := src[r*cols : (r+1)*cols]
+		row = row[:len(p.pixOff)]
+		tap := acc[off:]
+		for j, o := range p.pixOff {
+			tap[o] += row[j]
+		}
+	}
+	if p.Pad > 0 {
+		p.cropInto(acc, dst)
+	}
+}
+
+// padInto writes sample src into the interior of the padded buffer dst and
+// +0 into every border cell, walking dst front to back once.
+func (p *ConvPlan) padInto(src, dst []float64) {
+	h, w, pad, pw := p.InH, p.InW, p.Pad, p.padW
+	chLen := (h + 2*pad) * pw
+	for c := 0; c < p.InC; c++ {
+		s := src[c*h*w : (c+1)*h*w]
+		ch := dst[c*chLen : (c+1)*chLen]
+		o := pad*pw + pad // top border rows and the first row's left border
+		clear(ch[:o])
+		for y := 0; y < h; y++ {
+			copy(ch[o:o+w], s[y*w:(y+1)*w])
+			// This row's right border and the next row's left border: a
+			// couple of floats, cheaper as a loop than a memclr call.
+			border := ch[o+w : o+w+2*pad]
+			for i := range border {
+				border[i] = 0
 			}
+			o += pw
+		}
+		clear(ch[o:]) // the rest of the bottom border rows
+	}
+}
+
+// cropInto copies the interior of the padded buffer src into dst.
+func (p *ConvPlan) cropInto(src, dst []float64) {
+	h, w, pad, pw := p.InH, p.InW, p.Pad, p.padW
+	chLen := (h + 2*pad) * pw
+	for c := 0; c < p.InC; c++ {
+		ch := src[c*chLen : (c+1)*chLen]
+		d := dst[c*h*w : (c+1)*h*w]
+		for y := 0; y < h; y++ {
+			o := (y+pad)*pw + pad
+			copy(d[y*w:(y+1)*w], ch[o:o+w])
 		}
 	}
 }
 
-// tapRange returns the output positions [lo, hi) at which kernel tap k reads
-// an in-bounds input position o*stride - pad + k ∈ [0, in); lo >= hi when
-// there are none.
-func tapRange(k, stride, pad, in, out int) (lo, hi int) {
-	if p := pad - k; p > 0 {
-		lo = (p + stride - 1) / stride
-	}
-	top := in - 1 + pad - k
-	if top < 0 {
-		return 0, 0
-	}
-	return lo, min(out, top/stride+1)
+// Im2Col is ConvPlan.Im2Col for a one-off call: it builds d's plan and a
+// fresh scratch buffer. Layers keep a plan and reuse their scratch instead.
+func Im2Col(d ConvDims, src, dst []float64) {
+	p := NewConvPlan(d)
+	p.Im2Col(src, dst, make([]float64, p.ScratchLen()))
+}
+
+// Col2Im is ConvPlan.Col2Im for a one-off call; see Im2Col.
+func Col2Im(d ConvDims, src, dst []float64) {
+	p := NewConvPlan(d)
+	p.Col2Im(src, dst, make([]float64, p.ScratchLen()))
 }

@@ -127,3 +127,36 @@ func assertSameBits(t *testing.T, what string, got, want []float64) {
 		}
 	}
 }
+
+// TestConvPlanRewritesScratch runs one plan per geometry twice over
+// NaN-filled scratch and destination buffers: both must come out matching
+// the reference, so no cell a call leaves unwritten can leak into a result.
+func TestConvPlanRewritesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, d := range convGeometries() {
+		name := fmt.Sprintf("in %dx%d k %dx%d s%d p%d", d.InH, d.InW, d.KH, d.KW, d.Stride, d.Pad)
+		p := NewConvPlan(d)
+		scratch := make([]float64, p.ScratchLen())
+		cols, dx := make([]float64, d.ColRows*d.Cols), make([]float64, d.InElems)
+		want, wantDx := make([]float64, len(cols)), make([]float64, len(dx))
+		x, g := make([]float64, d.InElems), make([]float64, len(cols))
+		for rep := 0; rep < 2; rep++ {
+			edgeFill(rng, x)
+			edgeFill(rng, g)
+			for _, b := range [][]float64{scratch, cols, dx} {
+				for i := range b {
+					b[i] = math.NaN()
+				}
+			}
+			p.Im2Col(x, cols, scratch)
+			im2colRef(d, x, want)
+			assertSameBits(t, name+": Im2Col", cols, want)
+			for i := range scratch {
+				scratch[i] = math.NaN()
+			}
+			p.Col2Im(g, dx, scratch)
+			col2imRef(d, g, wantDx)
+			assertSameBits(t, name+": Col2Im", dx, wantDx)
+		}
+	}
+}
